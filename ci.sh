@@ -85,19 +85,30 @@ jq -e '[.rows[] | select(.[1].raw == "victim")] | length == 3
 jq -e '[.rows[] | select(.[1].raw == "antagonist")] | length == 1
        and all(.[6].value > 0 and .[12].value <= 0.35)' BENCH_tenancy.json >/dev/null
 
-# Engine hot-path stage: the event-core unit + property tests (calendar
-# queue vs BinaryHeap reference model), the cross-process timer-storm
-# determinism probe, and a fig_engine run. The binary itself asserts the
-# allocation budget (<=1 heap allocation per 100 events, steady state,
-# under a counting global allocator) and that the legacy emulation fires
-# the byte-identical event order. Gates below: the overhauled core beats
-# the legacy baseline_eps (first row) by >=5x, and the probe rows agree
-# on one fire-order checksum.
-cargo test -q -p hetsim --test engine_queue_props
+# Engine hot-path stage: every hetsim unit and integration test (the
+# event-core property tests against a BinaryHeap reference model, the
+# coroutine-vs-thread-backend differential test, the teardown test and the
+# coroutine allocation and stack-reuse pins among them), the cross-process
+# timer-storm determinism probe, and a fig_engine run. The binary itself
+# asserts the allocation budget (<=1 heap allocation per 100 events,
+# steady state, under a counting global allocator) and that the legacy
+# emulation fires the byte-identical event order. Gates below: the
+# overhauled core beats the legacy baseline_eps (first row) by >=5x, the
+# probe rows agree on one fire-order checksum, and the process-switch rows
+# (selected by config string, ns/event column by header name) cost <=1 us
+# per yield_now each, with 256 processes at most 2x the cost of one.
+cargo test -q -p hetsim
 cargo test -q --test determinism engine_timer_storm
 cargo run --release -q -p molecule-bench --bin fig_engine
 test -f BENCH_engine.json
 jq -e '(.rows[1][3].value) >= 5 * (.rows[0][3].value) and (.rows[1][4].value >= 5)' \
+    BENCH_engine.json >/dev/null
+jq -e '(.header | index("ns/event")) as $c
+       | [.rows[] | select(.[0].raw | startswith("yield_now, "))] as $y
+       | ($y | length == 3)
+         and ($y | all(.[$c].value <= 1000))
+         and ([$y[] | select(.[0].raw == "yield_now, 256 processes") | .[$c].value][0]
+              <= 2 * [$y[] | select(.[0].raw == "yield_now, 1 process") | .[$c].value][0])' \
     BENCH_engine.json >/dev/null
 test -f BENCH_engine_probe.json
 jq -e '[.rows[][3].raw] | length == 3 and (unique | length == 1)' \

@@ -12,6 +12,11 @@
 //! emulation's measured rate is exported as the `baseline_eps` the CI gate
 //! compares against.
 //!
+//! Part A also prices a process switch: ns per `ProcCtx::yield_now` with
+//! 1, 16 and 256 processes yielding in turn, so all but one are suspended
+//! at every switch. The rows follow the storm rows, and `ci.sh` selects
+//! them by their config string.
+//!
 //! Part B is the deterministic *engine probe*: the same storm at a fixed
 //! small size, reporting events fired, virtual end time and an order-
 //! sensitive checksum of the fire sequence. Those numbers are virtual-time
@@ -23,7 +28,7 @@
 use std::collections::{BinaryHeap, HashMap};
 use std::rc::Rc;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use hetsim::engine::Simulation;
@@ -41,6 +46,17 @@ pub const LEGACY_TICKS: u64 = 200;
 
 /// Event lanes the storm shards over.
 pub const STORM_LANES: u32 = 8;
+
+/// Process counts of the process-switch rows.
+pub const YIELD_PROCS: [usize; 3] = [1, 16, 256];
+
+/// `yield_now` calls timed per process-switch row, split evenly over its
+/// processes.
+pub const YIELD_TOTAL: u64 = 256_000;
+
+/// Untimed `yield_now` calls each process makes first, so every process
+/// has started and touched its stack before the clock starts.
+const YIELD_WARM: u64 = 4;
 
 /// Timers in the deterministic probe.
 pub const PROBE_TIMERS: usize = 16;
@@ -148,6 +164,31 @@ pub fn storm_alloc_probe(read_allocs: impl Fn() -> u64) -> (u64, u64) {
     let report = sim.run().expect("alloc probe storm failed");
     let allocs = read_allocs().saturating_sub(before);
     (report.events_fired - warm, allocs)
+}
+
+/// Runs `procs` processes that each call `yield_now` in a loop, all at
+/// one virtual instant, so the scheduler switches between them round
+/// robin. Returns the yields timed and the wall clock from the first
+/// process's first timed yield to the end of the run.
+pub fn yield_cost(procs: usize, total: u64) -> (u64, Duration) {
+    let per_proc = (total / procs as u64).max(1);
+    let mut sim = Simulation::new();
+    let started = Arc::new(OnceLock::new());
+    for i in 0..procs {
+        let started = Arc::clone(&started);
+        sim.spawn(&format!("yielder{i}"), move |ctx| {
+            for _ in 0..YIELD_WARM {
+                ctx.yield_now();
+            }
+            let _ = started.set(Instant::now());
+            for _ in 0..per_proc {
+                ctx.yield_now();
+            }
+        });
+    }
+    sim.run().expect("yield loop failed");
+    let wall = started.get().expect("a yielder started").elapsed();
+    (per_proc * procs as u64, wall)
 }
 
 // ---- legacy emulation -----------------------------------------------------
@@ -324,26 +365,41 @@ pub fn print() {
     let engine = run_timer_storm(STORM_TIMERS, STORM_TICKS, STORM_LANES);
     let legacy = run_legacy_storm(STORM_TIMERS, LEGACY_TICKS);
     let speedup = engine.eps() / legacy.eps();
+    let row = |config: String, events: u64, wall: Duration, speedup: String| {
+        let secs = wall.as_secs_f64().max(1e-9);
+        vec![
+            config,
+            events.to_string(),
+            format!("{:.2}", secs * 1e3),
+            format!("{:.0}", events as f64 / secs),
+            speedup,
+            format!("{:.1}", secs * 1e9 / events.max(1) as f64),
+        ]
+    };
+    let mut rows = vec![
+        row(
+            "legacy emulation (mutex+heap+boxed events+thread wake)".into(),
+            legacy.events,
+            legacy.wall,
+            "1.00x".into(),
+        ),
+        row(
+            format!("engine ({STORM_LANES} lanes, event arena, inline timers)"),
+            engine.events,
+            engine.wall,
+            crate::fmt_speedup(speedup),
+        ),
+    ];
+    for procs in YIELD_PROCS {
+        let (yields, wall) = yield_cost(procs, YIELD_TOTAL);
+        let plural = if procs == 1 { "process" } else { "processes" };
+        rows.push(row(format!("yield_now, {procs} {plural}"), yields, wall, "-".into()));
+    }
     crate::export_table(
         "engine",
-        "Engine timer-storm throughput (events/sec, wall clock)",
-        &["config", "events", "wall ms", "events/sec", "speedup"],
-        &[
-            vec![
-                "legacy emulation (mutex+heap+boxed events+thread wake)".into(),
-                legacy.events.to_string(),
-                format!("{:.2}", legacy.wall.as_secs_f64() * 1e3),
-                format!("{:.0}", legacy.eps()),
-                "1.00x".into(),
-            ],
-            vec![
-                format!("engine ({STORM_LANES} lanes, event arena, inline timers)"),
-                engine.events.to_string(),
-                format!("{:.2}", engine.wall.as_secs_f64() * 1e3),
-                format!("{:.0}", engine.eps()),
-                crate::fmt_speedup(speedup),
-            ],
-        ],
+        "Engine throughput: timer storm and process switches (wall clock)",
+        &["config", "events", "wall ms", "events/sec", "speedup", "ns/event"],
+        &rows,
     );
 }
 
@@ -361,6 +417,13 @@ mod tests {
         let sharded = run_timer_storm(PROBE_TIMERS, PROBE_TICKS, STORM_LANES);
         assert_eq!(a.checksum, sharded.checksum);
         assert_eq!(a.end_ns, sharded.end_ns);
+    }
+
+    #[test]
+    fn yield_cost_counts_every_timed_yield() {
+        let (yields, wall) = yield_cost(16, 160);
+        assert_eq!(yields, 160);
+        assert!(wall > Duration::ZERO);
     }
 
     #[test]

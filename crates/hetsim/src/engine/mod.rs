@@ -1,13 +1,18 @@
 //! Deterministic discrete-event simulation engine.
 //!
 //! Simulated processes (the Molecule daemons, executors, shims and function
-//! instances) are written in straight-line style: each is an OS thread that
-//! the scheduler resumes **one at a time**, SimPy-style. Because exactly one
-//! process runs between scheduler steps and ties are broken by a monotone
-//! sequence number, every run of the same program is bit-for-bit identical.
+//! instances) are written in straight-line style: each is a stackful
+//! coroutine that the scheduler resumes **one at a time**, SimPy-style, on
+//! the thread that calls [`Simulation::run`]. Because exactly one process
+//! runs between scheduler steps and ties are broken by a monotone sequence
+//! number, every run of the same program is bit-for-bit identical.
 //!
-//! Virtual time only advances through the event queue; real thread switches
-//! cost wall-clock time but zero virtual time.
+//! A switch into or out of a process saves and restores a few registers on
+//! the calling thread (see `coro.rs`); it costs wall-clock time but zero
+//! virtual time, which only advances through the event queue. On targets
+//! other than x86_64 Linux each process is instead an OS thread resumed
+//! through a channel rendezvous — the same protocol, and in tests the
+//! reference the coroutine backend is checked against.
 //!
 //! # Event core
 //!
@@ -42,10 +47,16 @@
 //! ```
 
 mod channel;
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+mod coro;
+#[cfg(all(test, target_arch = "x86_64", target_os = "linux"))]
+mod differential;
 mod process;
 pub mod queue;
 mod schedule;
 mod semaphore;
+#[cfg(any(test, not(all(target_arch = "x86_64", target_os = "linux"))))]
+mod thread;
 
 pub use channel::{RecvError, RecvTimeoutError, SendError, SimReceiver, SimSender, TryRecvError};
 pub use process::{ProcCtx, ProcHandle, ProcId};
@@ -53,12 +64,13 @@ pub use schedule::{ChoicePoint, FifoSeqPolicy, SchedulePolicy};
 pub use semaphore::{SemPermit, SimSemaphore};
 
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
-use crossbeam::channel as xchan;
 use parking_lot::Mutex;
 
 use crate::time::{SimDuration, SimTime};
+use process::{Backend, Runner};
 use queue::EventQueue;
 
 /// Why a blocked process is being resumed.
@@ -74,16 +86,17 @@ pub(crate) enum ResumeReason {
     Cancel,
 }
 
+/// How a running process handed control back to the scheduler.
 #[derive(Debug)]
 pub(crate) enum YieldKind {
+    /// It registered a wake-up and is waiting for it.
     Blocked,
+    /// Its body returned.
     Finished,
+    /// Its body panicked, with this message.
     Panicked(String),
-}
-
-pub(crate) struct YieldMsg {
-    pub proc: ProcId,
-    pub kind: YieldKind,
+    /// It was torn down: unwound from where it blocked, or dropped unstarted.
+    Cancelled,
 }
 
 pub(crate) enum EventAction {
@@ -119,7 +132,8 @@ pub(crate) enum ProcState {
 
 pub(crate) struct ProcSlot {
     pub name: String,
-    pub resume_tx: xchan::Sender<ResumeReason>,
+    /// Taken out by the scheduler while the process runs.
+    runner: Option<Runner>,
     pub wait_gen: u64,
     pub state: ProcState,
     /// Event lane this process's resume events are filed under (structural
@@ -192,6 +206,15 @@ impl ProcSlab {
         self.entries.iter().filter_map(|e| e.slot.as_ref())
     }
 
+    /// Ids of the blocked processes, in index order.
+    fn blocked(&self) -> Vec<ProcId> {
+        let ids = self.entries.iter().enumerate().filter_map(|(idx, e)| {
+            let slot = e.slot.as_ref()?;
+            (slot.state == ProcState::Blocked).then(|| ProcId::from_parts(idx as u32, e.gen))
+        });
+        ids.collect()
+    }
+
     fn event_lane(&self, id: ProcId) -> u32 {
         self.get(id).map(|s| s.event_lane).unwrap_or(0)
     }
@@ -256,8 +279,9 @@ impl EngineState {
 
 pub(crate) struct EngineShared {
     pub state: Mutex<EngineState>,
-    pub yield_tx: xchan::Sender<YieldMsg>,
-    yield_rx: xchan::Receiver<YieldMsg>,
+    /// Run this simulation's processes on the OS-thread reference backend.
+    #[cfg(all(test, target_arch = "x86_64", target_os = "linux"))]
+    pub thread_reference: bool,
 }
 
 /// Emits the "wake proc#N" engine instant, outside any engine lock and only
@@ -357,18 +381,21 @@ impl EngineShared {
         }
     }
 
-    fn register_proc(&self, name: &str, resume_tx: xchan::Sender<ResumeReason>) -> ProcId {
+    /// Adds a blocked process whose runner `make_runner` builds from its
+    /// id, and schedules its start at the current instant.
+    fn register_proc(&self, name: &str, make_runner: impl FnOnce(ProcId) -> Runner) -> ProcId {
         let mut st = self.state.lock();
         let lanes = st.events.lanes() as u32;
         let id = st.procs.insert(ProcSlot {
             name: name.to_owned(),
-            resume_tx,
+            runner: None,
             wait_gen: 0,
             state: ProcState::Blocked,
             event_lane: 0,
         });
         if let Some(slot) = st.procs.get_mut(id) {
             slot.event_lane = id.index() % lanes.max(1);
+            slot.runner = Some(make_runner(id));
         }
         st.live += 1;
         let now = st.now;
@@ -467,12 +494,16 @@ type TimerCallback = Box<dyn FnMut(&mut TimerCtx)>;
 /// See the [module documentation](self) for an overview and example.
 pub struct Simulation {
     shared: Arc<EngineShared>,
+    backend: Backend,
     event_limit: u64,
     events_fired: u64,
     policy: Option<Box<dyn SchedulePolicy>>,
     choice_log: Vec<ChoicePoint>,
     step_observer: Option<Box<dyn FnMut()>>,
     timers: Vec<Option<TimerCallback>>,
+    /// `!Send`: processes run on the thread that runs the simulation, and
+    /// a suspended process's stack must be resumed on that same thread.
+    _on_one_thread: PhantomData<*const ()>,
 }
 
 impl Default for Simulation {
@@ -484,7 +515,6 @@ impl Default for Simulation {
 impl Simulation {
     /// Creates an empty simulation at `t = 0`.
     pub fn new() -> Self {
-        let (yield_tx, yield_rx) = xchan::unbounded();
         Simulation {
             shared: Arc::new(EngineShared {
                 state: Mutex::new(EngineState {
@@ -495,16 +525,36 @@ impl Simulation {
                     trace: None,
                     lane_of_pu: Vec::new(),
                 }),
-                yield_tx,
-                yield_rx,
+                #[cfg(all(test, target_arch = "x86_64", target_os = "linux"))]
+                thread_reference: false,
             }),
+            backend: Backend::default(),
             event_limit: u64::MAX,
             events_fired: 0,
             policy: None,
             choice_log: Vec::new(),
             step_observer: None,
             timers: Vec::new(),
+            _on_one_thread: PhantomData,
         }
+    }
+
+    /// A simulation whose processes run as OS threads: the reference the
+    /// coroutine backend is tested against.
+    #[cfg(all(test, target_arch = "x86_64", target_os = "linux"))]
+    pub(crate) fn with_thread_reference() -> Self {
+        let mut sim = Simulation::new();
+        Arc::get_mut(&mut sim.shared).expect("a new simulation is unshared").thread_reference =
+            true;
+        sim
+    }
+
+    /// Process stacks this simulation has mapped. A finished process's
+    /// stack is reused by the next one to start, so this follows the peak
+    /// number of live processes, not the number spawned. Always 0 where
+    /// processes run as OS threads (targets other than x86_64 Linux).
+    pub fn mapped_stacks(&self) -> usize {
+        self.backend.mapped_stacks()
     }
 
     /// Caps the number of events a [`run`](Self::run) may fire (runaway guard).
@@ -678,31 +728,27 @@ impl Simulation {
                     }
                 }
                 EventAction::Resume { proc, gen, reason } => {
-                    let trace_on;
                     let tele_on = telemetry::engine_instants();
-                    let prepared = {
+                    let (mut runner, name) = {
                         let mut st = self.shared.state.lock();
-                        trace_on = st.trace.is_some();
-                        let prepared = match st.procs.get_mut(proc) {
-                            Some(slot)
-                                if slot.state == ProcState::Blocked && slot.wait_gen == gen =>
-                            {
-                                slot.state = ProcState::Running;
-                                let name = (trace_on || tele_on).then(|| slot.name.clone());
-                                Some((slot.resume_tx.clone(), name))
-                            }
+                        let trace_on = st.trace.is_some();
+                        let Some(slot) = st.procs.get_mut(proc).filter(|slot| {
+                            slot.state == ProcState::Blocked && slot.wait_gen == gen
+                        }) else {
                             // Stale wake-up (e.g. raced timeout) or finished.
-                            _ => None,
+                            continue;
                         };
+                        slot.state = ProcState::Running;
+                        let runner = slot.runner.take().expect("a blocked process has a runner");
+                        let name = (trace_on || tele_on).then(|| slot.name.clone());
                         if trace_on {
-                            if let Some((_, Some(name))) = &prepared {
+                            if let Some(name) = &name {
                                 let entry = format!("{now} {name}");
                                 st.trace.as_mut().expect("trace enabled").push(entry);
                             }
                         }
-                        prepared
+                        (runner, name)
                     };
-                    let Some((resume_tx, name)) = prepared else { continue };
                     // Telemetry runs outside the state lock, and the
                     // "dispatch" string is only built when the engine lane
                     // is actually recording.
@@ -718,21 +764,16 @@ impl Simulation {
                         });
                     }
                     telemetry::counter_add("engine.dispatches", 1);
-                    resume_tx.send(reason).expect("simulated process vanished while blocked");
-                    let y = self
-                        .shared
-                        .yield_rx
-                        .recv()
-                        .expect("yield channel closed while a process was running");
-                    debug_assert_eq!(y.proc, proc, "unexpected process yielded");
+                    let kind = runner.resume(&mut self.backend, reason);
                     let mut st = self.shared.state.lock();
-                    match y.kind {
+                    match kind {
                         YieldKind::Blocked => {
                             if let Some(slot) = st.procs.get_mut(proc) {
                                 slot.state = ProcState::Blocked;
+                                slot.runner = Some(runner);
                             }
                         }
-                        YieldKind::Finished => {
+                        YieldKind::Finished | YieldKind::Cancelled => {
                             st.procs.remove(proc);
                             st.live -= 1;
                         }
@@ -765,12 +806,33 @@ impl Simulation {
 
 impl Drop for Simulation {
     fn drop(&mut self) {
-        // Wake every still-blocked process with a cancellation so its thread
-        // exits instead of leaking, parked forever on its resume channel.
-        let st = self.shared.state.lock();
-        for slot in st.procs.iter() {
-            if slot.state == ProcState::Blocked {
-                let _ = slot.resume_tx.send(ResumeReason::Cancel);
+        // Tear down every blocked process in slab order, one at a time and
+        // with no lock held: its destructors may wake, spawn or drop other
+        // processes, so repeat until none is left. A started process unwinds
+        // from where it blocked, so its destructors run exactly once; an
+        // unstarted one is dropped unrun.
+        loop {
+            let blocked = self.shared.state.lock().procs.blocked();
+            if blocked.is_empty() {
+                break;
+            }
+            for proc in blocked {
+                let runner = {
+                    let mut st = self.shared.state.lock();
+                    match st.procs.get_mut(proc) {
+                        Some(slot) if slot.state == ProcState::Blocked => {
+                            slot.state = ProcState::Running;
+                            slot.runner.take()
+                        }
+                        _ => continue,
+                    }
+                };
+                if let Some(runner) = runner {
+                    runner.cancel(&mut self.backend);
+                }
+                let mut st = self.shared.state.lock();
+                st.procs.remove(proc);
+                st.live -= 1;
             }
         }
     }

@@ -1,16 +1,19 @@
 //! Simulated processes: spawn, context and join handles.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread;
 
-use crossbeam::channel as xchan;
 use parking_lot::Mutex;
 use telemetry::SpanContext;
 
-use super::{EngineShared, ResumeReason, SimReceiver, SimSender, YieldKind, YieldMsg};
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+use super::coro;
+#[cfg(any(test, not(all(target_arch = "x86_64", target_os = "linux"))))]
+use super::thread;
+use super::{EngineShared, ResumeReason, SimReceiver, SimSender, YieldKind};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a simulated process, unique within one [`Simulation`].
@@ -54,6 +57,70 @@ impl fmt::Display for ProcId {
 /// Sentinel panic payload used to unwind a simulated process on teardown.
 struct Cancelled;
 
+/// How the scheduler switches into a process: one per process, held in its
+/// slot while the process is blocked.
+pub(crate) enum Runner {
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    Coro(coro::Coroutine),
+    #[cfg(any(test, not(all(target_arch = "x86_64", target_os = "linux"))))]
+    Thread(thread::Resumer),
+}
+
+/// What a simulation keeps for its processes between switches: the stack
+/// pool on the coroutine backend, nothing on the thread backend.
+#[derive(Default)]
+pub(crate) struct Backend {
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    stacks: coro::StackPool,
+}
+
+impl Backend {
+    /// Process stacks mapped so far (0 on the thread backend).
+    pub(crate) fn mapped_stacks(&self) -> usize {
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        return self.stacks.mapped();
+        #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+        0
+    }
+}
+
+impl Runner {
+    /// Runs the process until it blocks or ends, and says which.
+    pub(crate) fn resume(&mut self, backend: &mut Backend, reason: ResumeReason) -> YieldKind {
+        match self {
+            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+            Runner::Coro(c) => c.resume(&mut backend.stacks, reason),
+            #[cfg(any(test, not(all(target_arch = "x86_64", target_os = "linux"))))]
+            Runner::Thread(t) => {
+                let _ = backend;
+                t.resume(reason)
+            }
+        }
+    }
+
+    /// Tears the process down: a started process unwinds from the point it
+    /// blocked at, running its destructors; one that never started is
+    /// dropped unrun. A process that blocks again while unwinding is
+    /// abandoned.
+    pub(crate) fn cancel(mut self, backend: &mut Backend) {
+        match &self {
+            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+            Runner::Coro(c) if !c.is_started() => {}
+            _ => {
+                let _ = self.resume(backend, ResumeReason::Cancel);
+            }
+        }
+    }
+}
+
+/// A running process's end of its backend: how it blocks.
+enum Park {
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    Coro(coro::Yielder),
+    #[cfg(any(test, not(all(target_arch = "x86_64", target_os = "linux"))))]
+    Thread(thread::Parker),
+}
+
 /// Execution context handed to every simulated process.
 ///
 /// All blocking operations (sleeping, channel receives, joins) go through
@@ -61,7 +128,7 @@ struct Cancelled;
 pub struct ProcCtx {
     pub(crate) shared: Arc<EngineShared>,
     pub(crate) proc: ProcId,
-    pub(crate) resume_rx: xchan::Receiver<ResumeReason>,
+    park: Park,
     name: String,
     /// Ambient telemetry span context; inherited by `spawn`ed children and
     /// updated by message receives that carry a piggybacked context.
@@ -169,14 +236,18 @@ impl ProcCtx {
     /// The caller must already have registered a wake-up (timer, channel
     /// waiter, ...) under the current wait generation.
     pub(crate) fn yield_and_wait(&mut self) -> ResumeReason {
-        self.shared
-            .yield_tx
-            .send(YieldMsg { proc: self.proc, kind: YieldKind::Blocked })
-            .expect("scheduler disappeared");
-        match self.resume_rx.recv() {
-            Ok(ResumeReason::Cancel) | Err(_) => panic::panic_any(Cancelled),
-            Ok(reason) => reason,
+        let reason = match &self.park {
+            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+            Park::Coro(y) => y.suspend(),
+            #[cfg(any(test, not(all(target_arch = "x86_64", target_os = "linux"))))]
+            Park::Thread(p) => p.suspend(),
+        };
+        if reason == ResumeReason::Cancel {
+            // Teardown: unwind to the body's `catch_unwind` without running
+            // the panic hook, so nothing is printed.
+            panic::resume_unwind(Box::new(Cancelled));
         }
+        reason
     }
 
     /// Bumps and returns this process's wait generation.
@@ -254,57 +325,51 @@ where
     T: Send + 'static,
     F: FnOnce(&mut ProcCtx) -> T + Send + 'static,
 {
-    let (resume_tx, resume_rx) = xchan::unbounded();
-    let id = shared.register_proc(name, resume_tx);
     let result = Arc::new(Mutex::new(None));
     let (done_tx, done_rx) = super::channel::channel(Arc::clone(&shared));
-
-    let thread_result = Arc::clone(&result);
-    let thread_shared = Arc::clone(&shared);
-    let thread_name = name.to_owned();
-    thread::Builder::new()
-        .name(format!("sim-{name}"))
-        .spawn(move || {
+    let body_result = Arc::clone(&result);
+    let body_shared = Arc::clone(&shared);
+    let body_name = name.to_owned();
+    let id = shared.register_proc(name, |id| {
+        // Runs on the process's own stack or thread; never unwinds.
+        let body = move |park: Park| {
             let mut ctx = ProcCtx {
-                shared: thread_shared,
+                shared: body_shared,
                 proc: id,
-                resume_rx,
-                name: thread_name,
+                park,
+                name: body_name,
                 trace_ctx: Cell::new(trace_ctx),
                 lane: Cell::new(lane),
             };
-            // Wait for the first activation.
-            match ctx.resume_rx.recv() {
-                Ok(ResumeReason::Start) => {}
-                Ok(ResumeReason::Cancel) | Err(_) => return,
-                Ok(other) => unreachable!("first resume must be Start, got {other:?}"),
-            }
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-            match outcome {
+            match panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
                 Ok(value) => {
-                    *thread_result.lock() = Some(value);
+                    *body_result.lock() = Some(value);
                     let _ = done_tx.send(());
-                    drop(done_tx);
-                    let _ =
-                        ctx.shared.yield_tx.send(YieldMsg { proc: id, kind: YieldKind::Finished });
+                    YieldKind::Finished
                 }
-                Err(payload) => {
-                    if payload.downcast_ref::<Cancelled>().is_some() {
-                        return; // teardown, exit silently
-                    }
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_owned())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<non-string panic payload>".to_owned());
-                    let _ = ctx
-                        .shared
-                        .yield_tx
-                        .send(YieldMsg { proc: id, kind: YieldKind::Panicked(message) });
-                }
+                Err(payload) if payload.is::<Cancelled>() => YieldKind::Cancelled,
+                Err(payload) => YieldKind::Panicked(panic_message(payload)),
             }
-        })
-        .expect("failed to spawn simulation process thread");
-
+        };
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        {
+            #[cfg(test)]
+            if shared.thread_reference {
+                return Runner::Thread(thread::spawn(name, move |p| body(Park::Thread(p))));
+            }
+            Runner::Coro(coro::Coroutine::new(Box::new(move |y| body(Park::Coro(y)))))
+        }
+        #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+        Runner::Thread(thread::spawn(name, move |p| body(Park::Thread(p))))
+    });
     ProcHandle { id, name: name.to_owned(), result, done_rx }
+}
+
+/// Best-effort text of a panic payload.
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string panic payload>".to_owned())
 }
