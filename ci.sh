@@ -5,6 +5,9 @@ cd "$(dirname "$0")"
 
 cargo build --release
 cargo test -q
+# Shim unit tests in release too: thread-timing tests can pass in debug and
+# fail once release builds fold their busy-work away.
+cargo test --release -q -p xpu-shim --lib
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 

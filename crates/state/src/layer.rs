@@ -27,6 +27,7 @@
 //! reached the dead master's memory are lost (documented write-back
 //! semantics); the committed-version counter still never moves backwards.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -50,13 +51,70 @@ use crate::region::{
 /// state-locality placement.
 pub type HostObserver = Arc<dyn Fn(&str, PuId, bool) + Send + Sync>;
 
+/// One committed version of a region as the host holds it: a single
+/// immutable buffer shared by every replica caching that version, so a pull
+/// installs the master's buffer instead of copying it. The master updates it
+/// in place while no other replica holds it, and copies it once when a stale
+/// replica still does. The all-zero version 0 is not materialized: the first
+/// update allocates it.
+#[derive(Clone, Default)]
+struct Committed(Option<Arc<[u8]>>);
+
+impl Committed {
+    /// Appends bytes `lo..hi` of this version to `out`.
+    fn extend_into(&self, out: &mut Vec<u8>, lo: usize, hi: usize) {
+        match &self.0 {
+            Some(bytes) => out.extend_from_slice(&bytes[lo..hi]),
+            None => out.resize(out.len() + (hi - lo), 0),
+        }
+    }
+
+    /// A private copy of bytes `lo..hi`, to seed a COW page.
+    fn page(&self, lo: usize, hi: usize) -> Arc<[u8]> {
+        match &self.0 {
+            Some(bytes) => Arc::from(&bytes[lo..hi]),
+            None => std::iter::repeat_n(0, hi - lo).collect(),
+        }
+    }
+
+    /// The 8-byte little-endian word at `lo`.
+    fn word(&self, lo: usize) -> u64 {
+        self.0
+            .as_ref()
+            .map_or(0, |b| u64::from_le_bytes(b[lo..lo + 8].try_into().expect("8 bytes")))
+    }
+
+    /// The `size` bytes of this version, writable in place; copied first
+    /// only when another replica (or a payload in flight) still shares them.
+    fn make_mut(&mut self, size: usize) -> &mut [u8] {
+        Arc::make_mut(self.0.get_or_insert_with(|| std::iter::repeat_n(0, size).collect()))
+    }
+
+    /// This version as a `size`-byte payload that shares the buffer.
+    fn payload(&self, size: usize) -> Bytes {
+        match &self.0 {
+            Some(bytes) => Bytes::from_owner(Arc::clone(bytes)),
+            None => Bytes::from(vec![0; size]),
+        }
+    }
+
+    fn digest(&self, size: usize) -> u64 {
+        match &self.0 {
+            Some(bytes) => digest(bytes),
+            None => digest(&vec![0; size]),
+        }
+    }
+}
+
 struct Replica {
     /// Committed version this cache holds.
     version: u64,
     /// The cached committed bytes (never mutated by local writes).
-    bytes: Vec<u8>,
-    /// COW working set: page index → private page content.
-    dirty: BTreeMap<u64, Vec<u8>>,
+    bytes: Committed,
+    /// COW working set: page index → private page content. A commit in
+    /// flight shares the pages it pushes; a write to one of them copies it
+    /// first, which is how the commit tells a re-dirtied page from its own.
+    dirty: BTreeMap<u64, Arc<[u8]>>,
     /// The region-host process owning the backing block on this PU's OS.
     host_pid: OsPid,
     /// The shared backing block sandboxes `map_shared`.
@@ -202,7 +260,6 @@ impl StateLayer {
                 return Err(e.into());
             }
         };
-        let size = spec.size_bytes() as usize;
         {
             let mut st = self.inner.state.lock();
             // register_region yielded; a concurrent create with the same
@@ -220,7 +277,7 @@ impl StateLayer {
                         master,
                         Replica {
                             version: 0,
-                            bytes: vec![0; size],
+                            bytes: Committed::default(),
                             dirty: BTreeMap::new(),
                             host_pid,
                             block,
@@ -307,16 +364,15 @@ impl StateLayer {
             let _ = os.exit_process(host_pid);
             return Err(e.into());
         }
-        let size = {
+        {
             let mut st = self.inner.state.lock();
             let region =
                 st.regions.get_mut(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
-            let size = region.spec.size_bytes() as usize;
             region.replicas.insert(
                 pu,
                 Replica {
                     version: 0,
-                    bytes: vec![0; size],
+                    bytes: Committed::default(),
                     dirty: BTreeMap::new(),
                     host_pid,
                     block,
@@ -324,9 +380,7 @@ impl StateLayer {
                     dirty_blocks: Vec::new(),
                 },
             );
-            size
-        };
-        let _ = size;
+        }
         telemetry::counter_add("state.attaches", 1);
         self.notify(name, pu, true);
         // Fresh replicas start at version 0; catch up to the master now
@@ -395,23 +449,30 @@ impl StateLayer {
         let replica =
             region.replicas.get_mut(&pu).ok_or_else(|| StateError::NotAttached(name.into(), pu))?;
         let mut cow_broken = 0u64;
+        let end = offset + data.len() as u64;
         let first_page = offset / page_bytes;
-        let last_page = (offset + data.len() as u64).div_ceil(page_bytes).max(first_page + 1);
+        let last_page = end.div_ceil(page_bytes).max(first_page + 1);
         for page in first_page..last_page {
             let page_start = page * page_bytes;
-            // Seed the working copy from the visible content on first touch.
-            if !replica.dirty.contains_key(&page) {
-                let lo = page_start as usize;
-                let hi = (page_start + page_bytes) as usize;
-                replica.dirty.insert(page, replica.bytes[lo..hi].to_vec());
-                cow_broken += 1;
-            }
-            let copy = replica.dirty.get_mut(&page).expect("inserted above");
             let from = offset.max(page_start);
-            let to = (offset + data.len() as u64).min(page_start + page_bytes);
-            for i in from..to {
-                copy[(i - page_start) as usize] = data[(i - offset) as usize];
-            }
+            let to = end.min(page_start + page_bytes);
+            let src = &data[(from - offset) as usize..(to - offset) as usize];
+            let within = (from - page_start) as usize..(to - page_start) as usize;
+            let copy = match replica.dirty.entry(page) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    cow_broken += 1;
+                    // A whole-page write needs no seed.
+                    if src.len() as u64 == page_bytes {
+                        e.insert(Arc::from(src));
+                        continue;
+                    }
+                    // Seed the working copy from the visible content.
+                    let lo = page_start as usize;
+                    e.insert(replica.bytes.page(lo, lo + page_bytes as usize))
+                }
+            };
+            Arc::make_mut(copy)[within].copy_from_slice(src);
         }
         if cow_broken > 0 {
             if let (Some(os), Some(writer)) = (os, writer) {
@@ -449,16 +510,20 @@ impl StateLayer {
         let replica =
             region.replicas.get(&pu).ok_or_else(|| StateError::NotAttached(name.into(), pu))?;
         let page_bytes = region.spec.page_bytes;
-        let mut out = vec![0u8; len as usize];
-        for i in 0..len {
-            let at = offset + i;
-            let page = at / page_bytes;
-            let within = (at % page_bytes) as usize;
-            out[i as usize] = match replica.dirty.get(&page) {
-                Some(copy) => copy[within],
-                None => replica.bytes[at as usize],
-            };
+        let end = offset + len;
+        let mut out = Vec::with_capacity(len as usize);
+        // Clean runs come from the committed version, dirty pages from the
+        // working set: one slice copy each.
+        let mut at = offset;
+        for (&page, copy) in replica.dirty.range(offset / page_bytes..end.div_ceil(page_bytes)) {
+            let page_start = page * page_bytes;
+            let from = at.max(page_start);
+            let to = end.min(page_start + page_bytes);
+            replica.bytes.extend_into(&mut out, at as usize, from as usize);
+            out.extend_from_slice(&copy[(from - page_start) as usize..(to - page_start) as usize]);
+            at = to;
         }
+        replica.bytes.extend_into(&mut out, at as usize, end as usize);
         Ok(out)
     }
 
@@ -489,13 +554,17 @@ impl StateLayer {
                 return Ok(replica.version);
             }
             let master_daemon = region.replicas.get(&region.master).expect("master replica").daemon;
+            // Shares the pages, not their bytes: a write while the push is
+            // in flight copies its page first.
+            let dirty: Vec<(u64, Arc<[u8]>)> =
+                replica.dirty.iter().map(|(page, copy)| (*page, Arc::clone(copy))).collect();
             (
                 region.gen,
                 region.uuid.clone(),
                 region.master,
                 master_daemon,
                 replica.daemon,
-                replica.dirty.clone(),
+                dirty,
                 region.spec.page_bytes,
             )
         };
@@ -520,7 +589,7 @@ impl StateLayer {
             }
         } else {
             // Tier 1: publishing in place costs one local FIFO-sized copy.
-            let bytes: u64 = dirty.values().map(|c| c.len() as u64).sum();
+            let bytes: u64 = dirty.iter().map(|(_, c)| c.len() as u64).sum();
             ctx.sleep(self.os_costs(pu).fifo_latency(bytes));
         }
         // Phase 2: merge — re-validated, since the transfer yielded.
@@ -531,30 +600,27 @@ impl StateLayer {
             if region.gen != gen {
                 return Err(StateError::Remastered(name.into()));
             }
-            let page_bytes = region.spec.page_bytes;
+            let size = region.spec.size_bytes() as usize;
             let master_pu = region.master;
             {
                 let master_replica = region.replicas.get_mut(&master_pu).expect("master replica");
+                let committed = master_replica.bytes.make_mut(size);
                 for (page, copy) in &dirty {
                     let lo = (*page * page_bytes) as usize;
-                    master_replica.bytes[lo..lo + copy.len()].copy_from_slice(copy);
+                    committed[lo..lo + copy.len()].copy_from_slice(copy);
                 }
                 master_replica.version = region.floor + 1;
             }
             region.floor += 1;
             if let Some(replica) = region.replicas.get_mut(&pu) {
                 // Drop exactly what was pushed; pages re-dirtied while the
-                // push was in flight stay in the working set.
+                // push was in flight no longer share the pushed buffer and
+                // stay in the working set. A remote committer's cache keeps
+                // its old version (lazy write-back).
                 for (page, copy) in &dirty {
-                    if replica.dirty.get(page) == Some(copy) {
+                    if replica.dirty.get(page).is_some_and(|c| Arc::ptr_eq(c, copy)) {
                         replica.dirty.remove(page);
                     }
-                }
-                if pu == master_pu {
-                    // nothing further: the master replica *is* the commit.
-                } else if replica.dirty.is_empty() {
-                    // Lazy write-back: the remote cache keeps its old
-                    // version; only its COW blocks are done.
                 }
                 if replica.dirty.is_empty() {
                     let os = self.inner.cluster.machine().os(pu).cloned();
@@ -600,7 +666,7 @@ impl StateLayer {
     /// The pull body, assuming the caller holds the (pu, region) gate.
     fn pull_locked(&self, ctx: &mut ProcCtx, pu: PuId, name: &str) -> Result<u64, StateError> {
         let t0 = ctx.now();
-        let (gen, uuid, master, master_daemon, my_daemon, payload, version) = {
+        let (gen, uuid, master, master_daemon, my_daemon, committed, size, version) = {
             let st = self.inner.state.lock();
             let region =
                 st.regions.get(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
@@ -617,6 +683,7 @@ impl StateLayer {
                 master_replica.daemon,
                 replica.daemon,
                 master_replica.bytes.clone(),
+                region.spec.size_bytes() as usize,
                 master_replica.version,
             )
         };
@@ -626,7 +693,7 @@ impl StateLayer {
                 master_daemon,
                 &uuid,
                 pu,
-                Bytes::from(payload.clone()),
+                committed.payload(size),
             )?;
             if let Some(desc) = desc {
                 self.inner.cluster.resolve_region_payload(ctx, my_daemon, &uuid, &desc)?;
@@ -644,7 +711,7 @@ impl StateLayer {
                     // Install the consistent (bytes, version) pair sampled at
                     // phase 1 — newer commits that landed mid-transfer are
                     // the *next* pull's problem, not a torn read.
-                    replica.bytes = payload;
+                    replica.bytes = committed;
                     replica.version = version;
                 }
             }
@@ -698,15 +765,14 @@ impl StateLayer {
         }
         let master_pu = region.master;
         let floor = region.floor;
+        let size = region.spec.size_bytes() as usize;
         let master_replica = region.replicas.get_mut(&master_pu).expect("master replica");
         let lo = offset as usize;
-        let current =
-            u64::from_le_bytes(master_replica.bytes[lo..lo + 8].try_into().expect("8 bytes"));
         telemetry::counter_add("state.cas_attempts", 1);
-        if current != expected {
+        if master_replica.bytes.word(lo) != expected {
             return Ok(false);
         }
-        master_replica.bytes[lo..lo + 8].copy_from_slice(&new.to_le_bytes());
+        master_replica.bytes.make_mut(size)[lo..lo + 8].copy_from_slice(&new.to_le_bytes());
         master_replica.version = floor + 1;
         region.floor += 1;
         telemetry::counter_add("state.cas_swaps", 1);
@@ -840,9 +906,8 @@ impl StateLayer {
         for (name, pu) in dropped_hosts {
             self.notify(&name, pu, false);
         }
-        for name in &lost {
-            telemetry::counter_add("state.regions_lost", 1);
-            let _ = name;
+        if !lost.is_empty() {
+            telemetry::counter_add("state.regions_lost", lost.len() as u64);
         }
         // Phase 2: re-register each re-mastered region cluster-wide and
         // re-grant the surviving replicas their capabilities.
@@ -902,7 +967,7 @@ impl StateLayer {
                     .map(|(pu, replica)| ReplicaSnapshot {
                         pu: *pu,
                         version: replica.version,
-                        digest: digest(&replica.bytes),
+                        digest: replica.bytes.digest(r.spec.size_bytes() as usize),
                     })
                     .collect(),
             })

@@ -5,7 +5,9 @@
 //! and must agree after *every* op:
 //!
 //! * reads see the local COW overlay on the cached committed version,
-//!   byte-for-byte;
+//!   byte-for-byte — whole-region reads and partial reads at arbitrary
+//!   `(offset, len)` over a mix of dirty and clean pages, after writes of
+//!   1 byte to two pages long that straddle page boundaries;
 //! * COW never mutates a published version — every replica's committed
 //!   cache digest matches the model even while working sets are dirty;
 //! * interleavings converge: once everyone pulls after a final commit,
@@ -14,7 +16,9 @@
 //!
 //! Regions are 8 pages (32 KiB), so every pull crosses the interconnect on
 //! the zero-copy descriptor path and the slot-balance property is
-//! exercised by every script that pulls.
+//! exercised by every script that pulls. A deterministic test at the end
+//! pins the in-flight rule: a page re-dirtied while its commit is in flight
+//! stays in the working set.
 
 use std::collections::BTreeMap;
 
@@ -28,10 +32,18 @@ use xpu_shim::cluster::{ShimCluster, ShimConfig};
 const PAGES: u64 = 8;
 const PAGE: u64 = 4096;
 const SIZE: usize = (PAGES * PAGE) as usize;
-const WRITE_LEN: usize = 64;
+const MAX_WRITE: u64 = 2 * PAGE;
 
-/// One scripted op: `kind` 0 = write, 1 = commit, 2 = pull, on `pu`.
-type Op = (u8, u16, u64);
+/// One scripted op: `kind` 0 = write, 1 = commit, 2 = pull, on `pu`, with
+/// an `offset` and a `len` that shape the write and the partial read after
+/// the op.
+type Op = (u8, u16, u64, u64);
+
+/// `len` distinct-ish bytes, so a write landing at the wrong offset within
+/// its page (or in the wrong page) shows.
+fn pattern(stamp: u8, len: u64) -> Vec<u8> {
+    (0..len).map(|j| stamp.wrapping_add((j % 251) as u8)).collect()
+}
 
 /// The reference model: the master's committed store plus, per PU, the
 /// cached committed version and the COW working set (whole-page copies,
@@ -128,12 +140,12 @@ fn execute(ops: Vec<Op>) -> Result<(), String> {
         }
         let mut model = Model::new();
 
-        for (i, &(kind, pu, offset)) in ops.iter().enumerate() {
-            let offset = offset.min(SIZE as u64 - WRITE_LEN as u64);
+        for (i, &(kind, pu, offset, len)) in ops.iter().enumerate() {
             match kind % 3 {
                 0 => {
-                    let stamp = (i as u8).wrapping_mul(31).wrapping_add(7);
-                    let data = [stamp; WRITE_LEN];
+                    let len = 1 + len % MAX_WRITE;
+                    let offset = offset.min(SIZE as u64 - len);
+                    let data = pattern((i as u8).wrapping_mul(31).wrapping_add(7), len);
                     l.write(ctx, PuId(pu), "prop", offset, &data, None)
                         .map_err(|e| format!("op {i} write: {e}"))?;
                     model.write(pu, offset, &data);
@@ -156,12 +168,22 @@ fn execute(ops: Vec<Op>) -> Result<(), String> {
                     }
                 }
             }
-            // The op's PU reads exactly the model's overlay...
+            // The op's PU reads exactly the model's overlay, whole...
+            let want = model.read(pu);
             let bytes = l
                 .read(ctx, PuId(pu), "prop", 0, SIZE as u64)
                 .map_err(|e| format!("op {i} read: {e}"))?;
-            if bytes != model.read(pu) {
+            if bytes != want {
                 return Err(format!("op {i}: read on {pu} diverged from the model"));
+            }
+            // ...and in part, at an arbitrary (possibly empty) window.
+            let at = offset % SIZE as u64;
+            let n = len % (SIZE as u64 - at + 1);
+            let part = l
+                .read(ctx, PuId(pu), "prop", at, n)
+                .map_err(|e| format!("op {i} partial read: {e}"))?;
+            if part[..] != want[at as usize..(at + n) as usize] {
+                return Err(format!("op {i}: read of [{at}, +{n}) on {pu} diverged"));
             }
             // ...and no published version moved: every replica's committed
             // cache digest still matches the model's cache for that PU —
@@ -217,15 +239,21 @@ fn execute(ops: Vec<Op>) -> Result<(), String> {
 proptest! {
     #[test]
     fn random_interleavings_agree_with_the_model(
-        ops in collection::vec((0u8..=2, 0u16..=2, 0u64..(SIZE as u64)), 1..40)
+        ops in collection::vec(
+            (0u8..=2, 0u16..=2, 0u64..(SIZE as u64), 0u64..(SIZE as u64)),
+            1..40,
+        )
     ) {
         prop_assert_eq!(execute(ops), Ok(()));
     }
 
     #[test]
     fn write_heavy_scripts_never_mutate_published_versions(
-        ops in collection::vec((0u8..=0, 0u16..=2, 0u64..(SIZE as u64)), 1..40),
-        commits in collection::vec((1u8..=1, 0u16..=2, 0u64..1), 1..4)
+        ops in collection::vec(
+            (0u8..=0, 0u16..=2, 0u64..(SIZE as u64), 0u64..(SIZE as u64)),
+            1..40,
+        ),
+        commits in collection::vec((1u8..=1, 0u16..=2, 0u64..(SIZE as u64), 0u64..1), 1..4)
     ) {
         // All-write prefix keeps three dirty working sets live at once —
         // the digest check inside `execute` is the property — then a few
@@ -237,7 +265,7 @@ proptest! {
 
     #[test]
     fn sync_heavy_scripts_balance_the_arena(
-        ops in collection::vec((1u8..=2, 0u16..=2, 0u64..1), 1..40)
+        ops in collection::vec((1u8..=2, 0u16..=2, 0u64..(SIZE as u64), 0u64..(SIZE as u64)), 1..40)
     ) {
         // Commit/pull-only scripts maximize descriptor traffic through the
         // segment arena; `execute` asserts zero slots survive the drop.
@@ -279,4 +307,74 @@ fn cross_tenant_region_attach_is_denied_at_grant_time() {
         "got {denied:?}"
     );
     assert!(!leaked, "denied attach left a replica behind");
+}
+
+/// A commit pushes the working set it sampled when it started. A page the
+/// committer's PU writes again while that push is in flight was not pushed
+/// in its new form, so it must stay in the working set — and go out with
+/// the next commit — while the pages pushed unchanged leave it. Checked for
+/// a remote committer (tier-2 push) and for the master (local publish).
+#[test]
+fn a_page_redirtied_while_its_commit_is_in_flight_stays_dirty() {
+    use hetsim::engine::ProcCtx;
+
+    const TWO: usize = 2 * PAGE as usize;
+    /// What an observer (PU 2) and the committer read of the first two
+    /// pages, after both pull.
+    fn look(ctx: &mut ProcCtx, l: &StateLayer, committer: PuId) -> (Vec<u8>, Vec<u8>) {
+        l.pull(ctx, PuId(2), "race").unwrap();
+        l.pull(ctx, committer, "race").unwrap();
+        (
+            l.read(ctx, PuId(2), "race", 0, TWO as u64).unwrap(),
+            l.read(ctx, committer, "race", 0, TWO as u64).unwrap(),
+        )
+    }
+
+    let (a, b1, b2) = (pattern(0x10, PAGE), pattern(0x20, PAGE), pattern(0x30, PAGE));
+    let ab1 = [a.clone(), b1.clone()].concat();
+    let ab2 = [a.clone(), b2.clone()].concat();
+    for committer in [PuId(1), PuId(0)] {
+        let cluster = ShimCluster::deploy(Machine::paper_cpu_dpu_server(), ShimConfig::default());
+        let layer = StateLayer::new(cluster);
+        let mut sim = Simulation::new();
+
+        let (l, data) = (layer.clone(), ab1.clone());
+        sim.spawn("setup", move |ctx| {
+            l.create_region(ctx, PuId(0), RegionSpec::new("race", PAGES)).unwrap();
+            for pu in [1, 2] {
+                l.attach(ctx, PuId(pu), "race").unwrap();
+            }
+            l.write(ctx, committer, "race", 0, &data, None).unwrap();
+        });
+        sim.run().unwrap();
+
+        // The committer and a writer on the same PU start together; the
+        // write lands while the push is still in flight.
+        let l = layer.clone();
+        let commit = sim.spawn("commit", move |ctx| (l.commit(ctx, committer, "race"), ctx.now()));
+        let (l, data) = (layer.clone(), b2.clone());
+        let rewrite = sim.spawn("rewrite", move |ctx| {
+            l.write(ctx, committer, "race", PAGE, &data, None).unwrap();
+            ctx.now()
+        });
+        sim.run().unwrap();
+        let (version, committed_at) = commit.take_result().unwrap();
+        assert_eq!(version, Ok(1), "committer {committer}");
+        assert!(rewrite.take_result().unwrap() < committed_at, "the rewrite must race the push");
+
+        let l = layer.clone();
+        let observe = sim.spawn("observe", move |ctx| {
+            let first = look(ctx, &l, committer);
+            let next = l.commit(ctx, committer, "race");
+            (first, next, look(ctx, &l, committer))
+        });
+        sim.run().unwrap();
+        let ((published, local), next, (republished, relocal)) = observe.take_result().unwrap();
+        // The push carried the page as sampled; the committer still reads
+        // its rewrite over the published version...
+        assert_eq!((published, local), (ab1.clone(), ab2.clone()), "committer {committer}");
+        // ...and the next commit publishes it.
+        assert_eq!(next, Ok(2), "committer {committer}");
+        assert_eq!((republished, relocal), (ab2.clone(), ab2.clone()), "committer {committer}");
+    }
 }

@@ -274,8 +274,14 @@ mod tests {
         // A single hot producer: with stealing, no thread should be left
         // completely idle while others drown.
         let server = ShimServer::start(QueueDiscipline::WorkStealing { threads: 4 }, |_, _| {
-            // A tiny bit of work so stealing has time to engage.
-            std::hint::black_box((0..50).sum::<u64>());
+            // A tiny bit of work (1 µs) so stealing has time to engage. It
+            // is timed, not counted: a constant loop folds away in release
+            // builds, and one worker then drains all 20k items before the
+            // other threads are even scheduled.
+            let start = std::time::Instant::now();
+            while start.elapsed() < std::time::Duration::from_micros(1) {
+                std::hint::spin_loop();
+            }
         });
         for i in 0..20_000u32 {
             server.submit(XpuPid { pu: PuId(0), local: i });

@@ -1,18 +1,27 @@
 //! Offline shim for the `bytes` API subset used by this workspace.
 //!
-//! `Bytes` is an `Arc<[u8]>` window (cheap clones, zero-copy `slice`/
-//! `split_*`); `BytesMut` is a growable buffer. Only the surface the
-//! workspace uses is provided; semantics match the real crate for it.
+//! `Bytes` is a window onto a shared owner of the bytes (cheap clones,
+//! zero-copy `slice`/`split_*`). Like the real crate, it takes ownership of
+//! a `Vec<u8>` (`From<Vec<u8>>`, `BytesMut::freeze`) or any other owner
+//! (`from_owner`) without copying the bytes. `BytesMut` is a growable
+//! buffer. Only the surface the workspace uses is provided; semantics match
+//! the real crate for it.
 
 use std::ops::{Deref, RangeBounds};
 use std::sync::Arc;
 
 /// Cheaply cloneable, immutable, contiguous byte slice.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<dyn AsRef<[u8]> + Send + Sync>,
     start: usize,
     end: usize,
+}
+
+impl Default for Bytes {
+    fn default() -> Bytes {
+        Bytes::from_static(&[])
+    }
 }
 
 impl Bytes {
@@ -21,7 +30,18 @@ impl Bytes {
     }
 
     pub fn from_static(bytes: &'static [u8]) -> Bytes {
-        Bytes::from(bytes.to_vec())
+        Bytes::from_owner(bytes)
+    }
+
+    /// Wraps `owner`'s bytes without copying them; the owner is dropped
+    /// with the last `Bytes` that shares it. (The real crate asks only for
+    /// `Send`; this shim keeps `Bytes: Sync` by also asking for `Sync`.)
+    pub fn from_owner<T>(owner: T) -> Bytes
+    where
+        T: AsRef<[u8]> + Send + Sync + 'static,
+    {
+        let end = owner.as_ref().len();
+        Bytes { data: Arc::new(owner), start: 0, end }
     }
 
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
@@ -80,7 +100,7 @@ impl Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        &(*self.data).as_ref()[self.start..self.end]
     }
 }
 
@@ -98,20 +118,19 @@ impl std::borrow::Borrow<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        let end = v.len();
-        Bytes { data: v.into(), start: 0, end }
+        Bytes::from_owner(v)
     }
 }
 
 impl From<&'static [u8]> for Bytes {
     fn from(v: &'static [u8]) -> Bytes {
-        Bytes::from(v.to_vec())
+        Bytes::from_static(v)
     }
 }
 
 impl From<&'static str> for Bytes {
     fn from(v: &'static str) -> Bytes {
-        Bytes::from(v.as_bytes().to_vec())
+        Bytes::from_static(v.as_bytes())
     }
 }
 
@@ -222,12 +241,11 @@ impl BytesMut {
         self.data.extend_from_slice(extend);
     }
 
+    /// Converts into `Bytes`, keeping the allocation (no copy).
     pub fn freeze(self) -> Bytes {
-        let mut v = self.data;
-        if self.cursor > 0 {
-            v.drain(..self.cursor);
-        }
-        Bytes::from(v)
+        let mut frozen = Bytes::from(self.data);
+        frozen.advance(self.cursor);
+        frozen
     }
 
     /// Splits off and returns the first `at` readable bytes.
@@ -455,5 +473,52 @@ mod tests {
         assert_eq!(head.as_ref(), &[1, 2]);
         assert_eq!(b.as_ref(), &[3, 4, 5]);
         assert_eq!(b.slice(1..).as_ref(), &[4, 5]);
+    }
+
+    #[test]
+    fn from_vec_and_freeze_keep_the_allocation() {
+        let v = vec![1u8, 2, 3, 4];
+        let ptr = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), ptr);
+
+        let mut m = BytesMut::with_capacity(64);
+        m.put_slice(b"header+body");
+        let ptr = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), ptr);
+
+        let mut m = BytesMut::from(b"header+body".to_vec());
+        let ptr = m.as_ptr();
+        m.advance(7);
+        let frozen = m.freeze();
+        assert_eq!(frozen.as_ptr(), ptr.wrapping_add(7));
+        assert_eq!(frozen, b"body"[..]);
+
+        struct Shared(Arc<Vec<u8>>);
+        impl AsRef<[u8]> for Shared {
+            fn as_ref(&self) -> &[u8] {
+                &self.0
+            }
+        }
+        let owner = Arc::new(vec![9u8; 32]);
+        let ptr = owner.as_ptr();
+        let shared = Bytes::from_owner(Shared(Arc::clone(&owner)));
+        assert_eq!(shared.as_ptr(), ptr);
+        drop(owner);
+        assert_eq!(shared, vec![9u8; 32]); // the `Bytes` keeps the owner alive
+    }
+
+    #[test]
+    fn slice_and_split_share_the_original_allocation() {
+        let v: Vec<u8> = (0..10).collect();
+        let ptr = v.as_ptr();
+        let mut b = Bytes::from(v);
+        assert_eq!(b.slice(3..7).as_ptr(), ptr.wrapping_add(3));
+        let head = b.split_to(2);
+        assert_eq!(head.as_ptr(), ptr);
+        assert_eq!(b.as_ptr(), ptr.wrapping_add(2));
+        let tail = b.split_off(5);
+        assert_eq!(tail.as_ptr(), ptr.wrapping_add(7));
+        assert_eq!((head.len(), b.len(), tail.len()), (2, 5, 3));
+        assert_eq!(tail, [7u8, 8, 9]);
     }
 }
