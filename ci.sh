@@ -117,14 +117,15 @@ test -f BENCH_engine_probe.json
 jq -e '[.rows[][3].raw] | length == 3 and (unique | length == 1)' \
     BENCH_engine_probe.json >/dev/null
 
-# High-density stage: the flat resident-structure property suite (BTreeMap
-# reference models), the probe-round allocation pin, the 10k-sandbox
-# reclaim stress regression, and a fig_density run sweeping 100 -> 10k
-# resident sandboxes. Gates: per-sandbox PSS at 10k stays <= 0.25x the
-# copy-per-instance baseline, offloaded I/O p99 stays within 1.2x of its
-# 100-sandbox point at every density, and no offload request is lost.
-cargo test -q -p molecule-core --test density_props
-cargo test -q -p molecule-core --test health_alloc
+# High-density stage: every molecule-core unit and integration test (the
+# flat resident-structure property suite against BTreeMap reference models,
+# the probe-round allocation pin, the health and proxy unit tests among
+# them), the 10k-sandbox reclaim stress regression, and a fig_density run
+# sweeping 100 -> 10k resident sandboxes. Gates: per-sandbox PSS at 10k
+# stays <= 0.25x the copy-per-instance baseline, offloaded I/O p99 stays
+# within 1.2x of its 100-sandbox point at every density, and no offload
+# request is lost.
+cargo test -q -p molecule-core
 cargo test -q -p xpu-shim --test reclaim_stress
 cargo run --release -q -p molecule-bench --bin fig_density
 test -f BENCH_density.json

@@ -86,14 +86,6 @@ impl ScaleRow {
     }
 }
 
-fn percentile(sorted: &[SimDuration], q: f64) -> SimDuration {
-    if sorted.is_empty() {
-        return SimDuration::ZERO;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
 fn spin_fn(name: &str) -> FunctionDef {
     FunctionDef::builder(name, LangRuntime::Python)
         .profiles(&[PuKind::Cpu, PuKind::Dpu])
@@ -154,8 +146,8 @@ pub fn run_scale_point(nodes: usize, per_node_rate: f64) -> ScaleRow {
         failed: sched.failed,
         lost: sched.submitted - accounted.min(sched.submitted),
         forwarded: rack.forwarded,
-        p50: percentile(&latencies, 0.50),
-        p99: percentile(&latencies, 0.99),
+        p50: crate::percentile(&latencies, 0.50),
+        p99: crate::percentile(&latencies, 0.99),
     }
 }
 

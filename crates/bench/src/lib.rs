@@ -50,6 +50,7 @@ pub mod fig_tenancy;
 pub mod tables;
 
 use hetsim::engine::{ProcCtx, Simulation};
+use hetsim::time::SimDuration;
 
 /// Runs `f` as the single driver process of a fresh simulation and returns
 /// its result.
@@ -67,6 +68,16 @@ where
     let handle = sim.spawn(name, f);
     sim.run().unwrap_or_else(|e| panic!("simulation '{name}' failed: {e}"));
     handle.take_result().unwrap_or_else(|| panic!("driver '{name}' returned no result"))
+}
+
+/// The `q`-quantile of ascending `sorted` latencies, nearest-rank on
+/// `(len - 1) * q`; zero when empty.
+pub fn percentile(sorted: &[SimDuration], q: f64) -> SimDuration {
+    if sorted.is_empty() {
+        return SimDuration::ZERO;
+    }
+    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+    sorted[idx]
 }
 
 /// Formats a ratio as the paper prints speedups (e.g. `"11.12x"`).

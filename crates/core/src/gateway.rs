@@ -130,6 +130,44 @@ impl GatewayState {
         self.idle.entry((func.clone(), pu)).or_default()
     }
 
+    /// Purges every gateway record of a crashed PU — the gateway's PU-death
+    /// subscriber: idle warm instances and ownership entries on `pu` are
+    /// dropped (their sandboxes died with the PU — nothing to retire), the
+    /// PU is marked unschedulable, and functions left with no live instance
+    /// anywhere are evicted from the keep-alive policy so dead-PU entries
+    /// cannot linger in the keep set. (The state layer's own subscriber
+    /// retracts the PU's region hosts from the directory.)
+    fn purge_pu(&mut self, pu: PuId) {
+        self.avoid.insert(pu);
+        // Idle pools on the dead PU via the reverse index — O(pools there),
+        // not a retain over every (function, PU) pool in the gateway.
+        if let Some(funcs) = self.idle_by_pu.remove(&pu) {
+            for func in funcs {
+                self.idle.remove(&(func, pu));
+            }
+        }
+        let mut purged: Vec<InstanceId> =
+            self.owned_by_pu.get(&pu).map(|s| s.iter().copied().collect()).unwrap_or_default();
+        purged.sort();
+        let mut seen: HashSet<FuncId> = HashSet::new();
+        let mut dead_funcs: Vec<FuncId> = Vec::new();
+        for id in &purged {
+            if let Some((func, _)) = self.disown(*id) {
+                if seen.insert(func.clone()) {
+                    dead_funcs.push(func);
+                }
+            }
+        }
+        // Keep-alive eviction: only forget functions with no survivors —
+        // one live-count lookup each, not a scan of every owned instance.
+        dead_funcs.retain(|f| !self.live_funcs.contains_key(f));
+        dead_funcs.sort();
+        self.policy.forget_many(&dead_funcs);
+        telemetry::with(|r| {
+            r.metrics().counter_add("gateway.purged_instances", purged.len() as u64);
+        });
+    }
+
     /// Removes an idle pool key and its reverse-index entry.
     fn drop_pool(&mut self, func: &FuncId, pu: PuId) {
         self.idle.remove(&(func.clone(), pu));
@@ -170,22 +208,20 @@ impl ApiGateway {
         config: GatewayConfig,
         policy: Box<dyn KeepAlivePolicy>,
     ) -> ApiGateway {
-        ApiGateway {
-            molecule,
-            scheduler,
-            config,
-            regions: RegionDirectory::new(),
-            state: Arc::new(Mutex::new(GatewayState {
-                idle: HashMap::new(),
-                owned: HashMap::new(),
-                owned_by_pu: HashMap::new(),
-                live_funcs: HashMap::new(),
-                idle_by_pu: HashMap::new(),
-                avoid: std::collections::BTreeSet::new(),
-                policy,
-                stats: GatewayStats::default(),
-            })),
-        }
+        let state = Arc::new(Mutex::new(GatewayState {
+            idle: HashMap::new(),
+            owned: HashMap::new(),
+            owned_by_pu: HashMap::new(),
+            live_funcs: HashMap::new(),
+            idle_by_pu: HashMap::new(),
+            avoid: std::collections::BTreeSet::new(),
+            policy,
+            stats: GatewayStats::default(),
+        }));
+        molecule
+            .cluster()
+            .on_pu_death("gateway", &state, |state, _ctx, pu| state.lock().purge_pu(pu));
+        ApiGateway { molecule, scheduler, config, regions: RegionDirectory::new(), state }
     }
 
     /// The underlying runtime.
@@ -224,48 +260,6 @@ impl ApiGateway {
     /// The PUs currently excluded from placement, sorted.
     pub fn avoided_pus(&self) -> Vec<PuId> {
         self.state.lock().avoid.iter().copied().collect()
-    }
-
-    /// Purges every gateway record of a crashed PU: idle warm instances and
-    /// ownership entries on `pu` are dropped (their sandboxes died with the
-    /// PU — nothing to retire), the PU is marked unschedulable, and
-    /// functions left with no live instance anywhere are evicted from the
-    /// keep-alive policy so dead-PU entries cannot linger in the keep set.
-    /// Returns the number of instances purged.
-    pub fn purge_pu(&self, pu: PuId) -> usize {
-        // Region hosting records die with the PU: retract them so the
-        // state-locality term stops steering placements there.
-        self.regions.retract_pu(pu);
-        let mut st = self.state.lock();
-        st.avoid.insert(pu);
-        // Idle pools on the dead PU via the reverse index — O(pools there),
-        // not a retain over every (function, PU) pool in the gateway.
-        if let Some(funcs) = st.idle_by_pu.remove(&pu) {
-            for func in funcs {
-                st.idle.remove(&(func, pu));
-            }
-        }
-        let mut purged: Vec<InstanceId> =
-            st.owned_by_pu.get(&pu).map(|s| s.iter().copied().collect()).unwrap_or_default();
-        purged.sort();
-        let mut seen: HashSet<FuncId> = HashSet::new();
-        let mut dead_funcs: Vec<FuncId> = Vec::new();
-        for id in &purged {
-            if let Some((func, _)) = st.disown(*id) {
-                if seen.insert(func.clone()) {
-                    dead_funcs.push(func);
-                }
-            }
-        }
-        // Keep-alive eviction: only forget functions with no survivors —
-        // one live-count lookup each, not a scan of every owned instance.
-        dead_funcs.retain(|f| !st.live_funcs.contains_key(f));
-        dead_funcs.sort();
-        st.policy.forget_many(&dead_funcs);
-        telemetry::with(|r| {
-            r.metrics().counter_add("gateway.purged_instances", purged.len() as u64);
-        });
-        purged.len()
     }
 
     /// Handles one request for `func` carrying `input_bytes`.

@@ -1,25 +1,26 @@
-//! Executor health checking, circuit breaking and crashed-PU recovery.
+//! Executor health checking, circuit breaking and crashed-PU detection.
 //!
 //! The paper's control plane assumes PUs stay up; this module is the
 //! fault-tolerant extension: a [`HealthChecker`] probes every executor PU
 //! from the host over XPU-Shim, quarantines unresponsive PUs behind a
 //! circuit breaker (so a *flapping* PU stops receiving work without being
 //! declared dead), and — once a PU misses enough consecutive probes or is
-//! positively known dead — runs the full recovery pipeline:
-//!
-//! 1. **Shim reclamation** — the dead PU's `CAP_Group`s are dropped and its
-//!    XPU-FIFO UUIDs reclaimed exactly once (the paper's lazy-reclamation
-//!    path, §5, actually triggered);
-//! 2. **Runtime purge** — instances, warm pools, templates and the executor
-//!    registration on the PU are removed, and the PU's `runc` book-keeping
-//!    is reconciled (running sandboxes marked `Stopped`);
-//! 3. **Gateway purge** — idle instances are dropped, the PU is marked
-//!    unschedulable, and functions with no surviving instance are evicted
-//!    from the keep-alive policy.
+//! positively known dead — declares it dead on the shim cluster's PU-death
+//! bus ([`ShimCluster::declare_pu_dead`]). The bus is the one recovery
+//! path: the shim reclaims the PU's capabilities and XPU-FIFO UUIDs (the
+//! paper's lazy-reclamation path, §5, actually triggered), then every
+//! layer built over the cluster sees the death once, in the order it was
+//! built — the runtime purges the PU's instances, templates and executor,
+//! each gateway drops its records and stops placing there, schedulers
+//! drain the PU's queue into failover, the state layer re-masters regions
+//! mastered there and the proxy pool stops routing to it. The checker
+//! wraps that in its `recover-pu{n}` span and [`RecoveryReport`].
 //!
 //! Subsequent requests fail over to surviving PUs; functions whose
 //! preferred accelerator kind is entirely gone degrade to the CPU cost
 //! table, with telemetry recording each degradation.
+//!
+//! [`ShimCluster::declare_pu_dead`]: xpu_shim::cluster::ShimCluster::declare_pu_dead
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -121,10 +122,6 @@ pub struct RecoveryReport {
     pub sandboxes_reconciled: usize,
 }
 
-/// Callback invoked after a PU's recovery pipeline ran (see
-/// [`HealthChecker::on_declared_dead`]).
-pub type DeadPuHook = dyn Fn(&mut ProcCtx, PuId) + Send + Sync;
-
 /// Mutable per-round state: a flat record vector parallel to the fixed
 /// monitored-PU list, plus the incrementally maintained dead list. The
 /// former `BTreeMap<PuId, PuRecord>` made every status lookup a tree walk
@@ -149,7 +146,6 @@ pub struct HealthChecker {
     index: Arc<HashMap<PuId, usize>>,
     state: Arc<Mutex<HealthState>>,
     recoveries: Arc<Mutex<Vec<RecoveryReport>>>,
-    dead_hooks: Arc<Mutex<Vec<Arc<DeadPuHook>>>>,
 }
 
 impl std::fmt::Debug for HealthChecker {
@@ -184,16 +180,7 @@ impl HealthChecker {
             index: Arc::new(index),
             state: Arc::new(Mutex::new(HealthState { records, dead: Vec::new() })),
             recoveries: Arc::new(Mutex::new(Vec::new())),
-            dead_hooks: Arc::new(Mutex::new(Vec::new())),
         }
-    }
-
-    /// Registers a callback run right after a PU's recovery pipeline (shim
-    /// reclaim + runtime purge + gateway purge) completes. Schedulers layered
-    /// above the gateway use this to drain the dead PU's run queue into
-    /// failover placement. Hooks run in registration order.
-    pub fn on_declared_dead(&self, hook: impl Fn(&mut ProcCtx, PuId) + Send + Sync + 'static) {
-        self.dead_hooks.lock().push(Arc::new(hook));
     }
 
     /// The policy in effect.
@@ -375,9 +362,10 @@ impl HealthChecker {
             &format!("recover: {pu} declared dead after {}ns", detect_latency.as_nanos()),
         );
         let t0 = ctx.now();
-        let reclaim = molecule.cluster().reclaim_pu(ctx, pu);
-        let purge = molecule.purge_pu(pu);
-        self.gateway.purge_pu(pu);
+        // Already declared on the bus (say, by a rack's node sweep): the
+        // recovery ran there, exactly once.
+        let reclaim = molecule.cluster().declare_pu_dead(ctx, pu)?;
+        let purge = molecule.purge_report(pu).expect("the runtime subscribes at launch");
         let recovery_latency = ctx.now() - t0;
         telemetry::with(|r| {
             r.complete_span(
@@ -401,12 +389,6 @@ impl HealthChecker {
             sandboxes_reconciled: purge.sandboxes_reconciled,
         };
         self.recoveries.lock().push(report.clone());
-        // Run registered hooks outside the lock: a drain hook may itself
-        // sleep (re-placing queued requests) or consult the checker.
-        let hooks: Vec<Arc<DeadPuHook>> = self.dead_hooks.lock().clone();
-        for hook in hooks {
-            hook(ctx, pu);
-        }
         Some(report)
     }
 }
@@ -573,7 +555,8 @@ mod tests {
                 .molecule()
                 .start_instance(ctx, &"img".into(), PuId(1), StartupKind::CforkLocal)
                 .unwrap();
-            let purge = gw.molecule().purge_pu(PuId(1));
+            gw.molecule().cluster().declare_pu_dead(ctx, PuId(1));
+            let purge = gw.molecule().purge_report(PuId(1)).unwrap();
             assert_eq!(purge.instances, vec![started.instance]);
             assert!(purge.executor_dropped);
             assert!(purge.sandboxes_reconciled >= 1);

@@ -21,7 +21,8 @@
 //! * [`schedule`] — profile selection, chain co-location and density
 //!   packing;
 //! * [`health`] — executor health checking, circuit breaking and
-//!   crashed-PU recovery (reclamation, purge, failover, degradation);
+//!   crashed-PU detection, declared on the shim cluster's PU-death bus
+//!   (reclamation, purge, failover, degradation);
 //! * [`keepalive`] — Fixed-window / LRU / Greedy-Dual keep-alive policies
 //!   with chain affinity;
 //! * [`billing`] — 1 ms-granularity, PU-priced metering;
@@ -30,8 +31,7 @@
 //! * [`regions`] — the gateway's directory of shared-state region hosts,
 //!   feeding the scheduler's state-locality placement term;
 //! * [`metrics`] — the latency recorder with the artifact's percentile
-//!   output format;
-//! * [`trace`] — phase-level request tracing over virtual time.
+//!   output format.
 
 pub mod baseline;
 pub mod billing;
@@ -48,7 +48,6 @@ pub mod proxy;
 pub mod regions;
 pub mod runtime;
 pub mod schedule;
-pub mod trace;
 
 pub use error::MoleculeError;
 pub use function::{ExecModel, FunctionDef, FunctionRegistry};

@@ -322,7 +322,7 @@ impl ProxyPool {
                 });
             }
         }
-        Ok(ProxyPool {
+        let pool = ProxyPool {
             inner: Arc::new(PoolInner {
                 cluster: cluster.clone(),
                 config,
@@ -331,7 +331,11 @@ impl ProxyPool {
                 rr: Mutex::new(0),
                 dead: Mutex::new(HashSet::new()),
             }),
-        })
+        };
+        cluster.on_pu_death("proxy", &pool.inner, |inner, _ctx, pu| {
+            ProxyPool { inner }.fail_pu(pu);
+        });
+        Ok(pool)
     }
 
     /// Registers a host-side client: creates its reply FIFO, grants every
@@ -418,8 +422,9 @@ impl ProxyPool {
     /// offloads. In-flight requests to them are reclaimed by their waiting
     /// clients (write error or reply timeout) — there is exactly one
     /// reclaimer per request, which is what makes reclaim exactly-once
-    /// trivial to enforce. Called automatically on [`ShimError::PeerDead`].
-    pub fn fail_pu(&self, pu: PuId) {
+    /// trivial to enforce. Runs on [`ShimError::PeerDead`] and as the
+    /// pool's PU-death subscriber.
+    fn fail_pu(&self, pu: PuId) {
         self.inner.dead.lock().insert(pu);
     }
 
@@ -609,10 +614,10 @@ mod tests {
                 }
                 assert!(failures < 16, "failover never converged");
             }
-            // Control-plane reclamation closes the dead DPU's FIFOs, which
-            // is what unblocks its proxy processes; live proxies drain the
+            // Declaring the death reclaims the dead DPU's FIFOs, which is
+            // what unblocks its proxy processes; live proxies drain the
             // shutdown sentinel.
-            cl.reclaim_pu(ctx, dead_pu);
+            cl.declare_pu_dead(ctx, dead_pu);
             pool.shutdown(ctx);
             (served, failures, pool.live_proxies(), pool.stats())
         });

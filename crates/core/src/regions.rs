@@ -10,22 +10,18 @@
 //! does not depend on the state crate: `molecule-sched` bridges the two by
 //! installing a `StateLayer` host observer that publishes into it.
 //!
-//! Density refactor: the former single `BTreeMap` under one lock made every
-//! publish contend with every lookup and made `retract_pu` — the dead-PU
-//! sweep — walk *every* region. The directory is now sharded by region-name
-//! hash (lookups and publishes on different regions take different locks)
-//! with a `PuId → region names` reverse index, so the dead-PU sweep touches
-//! only the regions the dead PU actually hosted. Host lists stay sorted
-//! `Vec`s, so every query answer is byte-identical to the `BTreeMap` model.
+//! The directory mirrors the state layer's host set and nothing else: when
+//! a PU dies, the state layer's PU-death subscriber forgets its replicas
+//! and the host observer retracts them here, so the directory needs no
+//! dead-PU sweep of its own.
 //!
-//! Lock discipline: a shard lock and the reverse-index lock are never held
-//! at the same time. The reverse index may transiently hold a stale name
-//! for a PU (publish updates the shard first); `retract_pu` tolerates this
-//! by counting only real shard-side removals.
+//! The directory is sharded by region-name hash (lookups and publishes on
+//! different regions take different locks). Host lists stay sorted `Vec`s,
+//! so every query answer is byte-identical to a `BTreeMap` model.
 //!
 //! [`FunctionDef::regions`]: crate::function::FunctionDef::regions
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::sync::Arc;
@@ -38,9 +34,6 @@ const SHARDS: usize = 8;
 struct DirectoryInner {
     /// Region name → sorted host list, sharded by name hash.
     shards: [Mutex<HashMap<String, Vec<PuId>>>; SHARDS],
-    /// Reverse index for the dead-PU sweep: every region name a PU has ever
-    /// been published into (pruned on retract).
-    by_pu: Mutex<HashMap<PuId, HashSet<String>>>,
 }
 
 /// Tracks, per region name, the PUs currently hosting a replica. Cheap to
@@ -55,7 +48,6 @@ impl Default for RegionDirectory {
         RegionDirectory {
             inner: Arc::new(DirectoryInner {
                 shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-                by_pu: Mutex::new(HashMap::new()),
             }),
         }
     }
@@ -83,63 +75,25 @@ impl RegionDirectory {
 
     /// Records that `pu` hosts a replica of `region`. Idempotent.
     pub fn publish(&self, region: &str, pu: PuId) {
-        {
-            let mut shard = self.shard(region).lock();
-            let hosts = shard.entry(region.to_string()).or_default();
-            if let Err(pos) = hosts.binary_search(&pu) {
-                hosts.insert(pos, pu);
-            }
+        let mut shard = self.shard(region).lock();
+        let hosts = shard.entry(region.to_string()).or_default();
+        if let Err(pos) = hosts.binary_search(&pu) {
+            hosts.insert(pos, pu);
         }
-        self.inner.by_pu.lock().entry(pu).or_default().insert(region.to_string());
     }
 
     /// Records that `pu` no longer hosts `region` (detach or drop). Empty
     /// regions leave the map. Idempotent.
     pub fn retract(&self, region: &str, pu: PuId) {
-        {
-            let mut shard = self.shard(region).lock();
-            if let Some(hosts) = shard.get_mut(region) {
-                if let Ok(pos) = hosts.binary_search(&pu) {
-                    hosts.remove(pos);
-                }
-                if hosts.is_empty() {
-                    shard.remove(region);
-                }
+        let mut shard = self.shard(region).lock();
+        if let Some(hosts) = shard.get_mut(region) {
+            if let Ok(pos) = hosts.binary_search(&pu) {
+                hosts.remove(pos);
+            }
+            if hosts.is_empty() {
+                shard.remove(region);
             }
         }
-        let mut by_pu = self.inner.by_pu.lock();
-        if let Some(names) = by_pu.get_mut(&pu) {
-            names.remove(region);
-            if names.is_empty() {
-                by_pu.remove(&pu);
-            }
-        }
-    }
-
-    /// Drops every hosting record of a crashed PU, returning how many
-    /// region entries it was retracted from. The gateway's
-    /// [`purge_pu`](crate::gateway::ApiGateway::purge_pu) calls this so a
-    /// dead PU can never keep attracting stateful placements. O(regions the
-    /// dead PU hosted) via the reverse index — not a walk of the directory.
-    pub fn retract_pu(&self, pu: PuId) -> usize {
-        let names = match self.inner.by_pu.lock().remove(&pu) {
-            Some(names) => names,
-            None => return 0,
-        };
-        let mut retracted = 0;
-        for region in names {
-            let mut shard = self.shard(&region).lock();
-            if let Some(hosts) = shard.get_mut(&region) {
-                if let Ok(pos) = hosts.binary_search(&pu) {
-                    hosts.remove(pos);
-                    retracted += 1;
-                }
-                if hosts.is_empty() {
-                    shard.remove(&region);
-                }
-            }
-        }
-        retracted
     }
 
     /// The PUs hosting `region`, sorted. Empty when unknown.
@@ -204,30 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn retract_pu_sweeps_every_region() {
-        let dir = RegionDirectory::new();
-        dir.publish("a", PuId(1));
-        dir.publish("a", PuId(2));
-        dir.publish("b", PuId(1));
-        assert_eq!(dir.retract_pu(PuId(1)), 2);
-        assert_eq!(dir.hosts("a"), vec![PuId(2)]);
-        assert!(dir.hosts("b").is_empty());
-        assert_eq!(dir.retract_pu(PuId(1)), 0, "idempotent");
-    }
-
-    #[test]
-    fn retract_then_retract_pu_counts_real_removals_only() {
-        // retract() prunes the reverse index, so a later dead-PU sweep
-        // neither revisits nor recounts the already-retracted region.
-        let dir = RegionDirectory::new();
-        dir.publish("a", PuId(1));
-        dir.publish("b", PuId(1));
-        dir.retract("a", PuId(1));
-        assert_eq!(dir.retract_pu(PuId(1)), 1);
-        assert!(dir.is_empty());
-    }
-
-    #[test]
     fn many_regions_across_shards_stay_consistent() {
         let dir = RegionDirectory::new();
         for i in 0..100 {
@@ -236,8 +166,9 @@ mod tests {
         }
         assert_eq!(dir.len(), 100);
         assert_eq!(dir.hosts("region-7"), vec![PuId(3), PuId(4)]);
-        // Killing PU 4 retracts it from all 100 regions; the others stay.
-        assert_eq!(dir.retract_pu(PuId(4)), 100);
+        for i in 0..100 {
+            dir.retract(&format!("region-{i}"), PuId(4));
+        }
         assert_eq!(dir.len(), 100);
         assert_eq!(dir.hosts("region-7"), vec![PuId(3)]);
     }

@@ -118,7 +118,8 @@ pub struct StartupReport {
     pub latency: SimDuration,
 }
 
-/// What [`Molecule::purge_pu`] dropped when a PU was declared dead.
+/// What the runtime dropped when a PU was declared dead
+/// ([`Molecule::purge_report`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PurgeReport {
     /// The purged PU.
@@ -152,6 +153,8 @@ struct RtState {
     next_sandbox: u64,
     meter: Meter,
     manager: Option<XpuPid>,
+    /// What each dead PU's purge dropped, for the recovery report.
+    purged: HashMap<PuId, PurgeReport>,
 }
 
 struct MoleculeInner {
@@ -211,7 +214,7 @@ impl Molecule {
                 }
             }
         }
-        Molecule {
+        let molecule = Molecule {
             inner: Arc::new(MoleculeInner {
                 machine,
                 cluster,
@@ -229,9 +232,14 @@ impl Molecule {
                     next_sandbox: 0,
                     meter: Meter::new(config.prices),
                     manager: None,
+                    purged: HashMap::new(),
                 }),
             }),
-        }
+        };
+        molecule.inner.cluster.on_pu_death("runtime", &molecule.inner, |inner, _ctx, pu| {
+            Molecule { inner }.purge_pu(pu);
+        });
+        molecule
     }
 
     /// The machine Molecule manages.
@@ -765,12 +773,14 @@ impl Molecule {
         Ok(())
     }
 
-    /// Purges every trace of a crashed PU from the runtime: its instances,
-    /// warm pools, templates and executor registration, then reconciles the
-    /// PU's `runc` book-keeping (sandboxes that were `Running` there are
-    /// marked `Stopped`). No sandbox verbs are charged — the containers died
-    /// with the PU; this is the control plane catching up with reality.
-    pub fn purge_pu(&self, pu: PuId) -> PurgeReport {
+    /// The runtime's PU-death subscriber. Purges every trace of a crashed
+    /// PU from the runtime: its instances, warm pools, templates and
+    /// executor registration, then reconciles the PU's `runc` book-keeping
+    /// (sandboxes that were `Running` there are marked `Stopped`). No
+    /// sandbox verbs are charged — the containers died with the PU; this is
+    /// the control plane catching up with reality. The result is kept for
+    /// [`purge_report`](Self::purge_report).
+    fn purge_pu(&self, pu: PuId) {
         let (instances, templates, executor_dropped) = {
             let mut st = self.inner.state.lock();
             let mut dead: Vec<InstanceId> =
@@ -792,7 +802,15 @@ impl Molecule {
             r.metrics().counter_add("molecule.purged_instances", instances.len() as u64);
             r.metrics().counter_add("molecule.purged_pus", 1);
         });
-        PurgeReport { pu, instances, templates, executor_dropped, sandboxes_reconciled }
+        let report =
+            PurgeReport { pu, instances, templates, executor_dropped, sandboxes_reconciled };
+        self.inner.state.lock().purged.insert(pu, report);
+    }
+
+    /// What the runtime purged when `pu` was declared dead
+    /// ([`ShimCluster::declare_pu_dead`]); `None` while it is alive.
+    pub fn purge_report(&self, pu: PuId) -> Option<PurgeReport> {
+        self.inner.state.lock().purged.get(&pu).cloned()
     }
 
     /// A snapshot of the billing meter.

@@ -17,10 +17,13 @@
 //!   fabric — it pays the calibrated cross-node cost and fails when chaos
 //!   cuts the path.
 //! * **Node-level failure handling.** [`RackFront::handle_node_death`]
-//!   removes the node from the ring and purges the dead node's PUs from
-//!   **every** surviving gateway — region-directory entries, keep-alive
-//!   pools and placement eligibility — then reclaims their shim state, so
-//!   no survivor keeps routing toward the dead node.
+//!   removes the node from the ring and declares each of its PUs dead on
+//!   the shim cluster's PU-death bus
+//!   ([`ShimCluster::declare_pu_dead`](xpu_shim::cluster::ShimCluster::declare_pu_dead)).
+//!   The bus reclaims the PUs' shim state and then hands the death to
+//!   every layer built over the cluster — the runtime, **every** node's
+//!   gateway and scheduler, and any state layer — so no survivor keeps
+//!   routing toward the dead node.
 //!
 //! Cross-node DAG edges stay zero-copy: [`RackFront::plan_chain`] places
 //! consecutive stages on their owning nodes and
@@ -74,8 +77,6 @@ pub struct RackStats {
     pub rerouted: u64,
     /// Node deaths handled.
     pub node_deaths: u64,
-    /// Warm instances purged across all gateways by node deaths.
-    pub purged_instances: u64,
 }
 
 struct RackShared {
@@ -91,7 +92,6 @@ pub struct RackFront {
     molecule: Molecule,
     config: Arc<RackConfig>,
     gateways: Arc<Vec<SchedGateway>>,
-    state_layer: Arc<Mutex<Option<StateLayer>>>,
     shared: Arc<Mutex<RackShared>>,
 }
 
@@ -118,7 +118,6 @@ impl RackFront {
             molecule,
             config: Arc::new(config),
             gateways: Arc::new(gateways),
-            state_layer: Arc::new(Mutex::new(None)),
             shared: Arc::new(Mutex::new(RackShared {
                 ring,
                 dead: BTreeSet::new(),
@@ -193,8 +192,7 @@ impl RackFront {
     /// [`RegionDirectory`](molecule_core::regions::RegionDirectory): each
     /// replica attach/detach fans out to all directories, so any node's
     /// placer sees where region pages live — including remote nodes, which
-    /// the node-locality term then prefers to keep together. The layer is
-    /// also remembered for the node-death sweep.
+    /// the node-locality term then prefers to keep together.
     pub fn attach_state_layer(&self, layer: &StateLayer) {
         let dirs: Vec<_> =
             self.gateways.iter().map(|gw| gw.api().region_directory().clone()).collect();
@@ -207,7 +205,6 @@ impl RackFront {
                 }
             }
         }));
-        *self.state_layer.lock() = Some(layer.clone());
     }
 
     /// Admits one request through the ring: the owning node's gateway
@@ -280,16 +277,12 @@ impl RackFront {
         })
     }
 
-    /// Sweeps a dead node out of the whole control plane:
-    ///
-    /// 1. the node leaves the placement ring (keys fall through to their
-    ///    next owner; everything else keeps its owner);
-    /// 2. each of its PUs is purged from **every** gateway — region
-    ///    directory entries, idle/owned instances, keep-alive records and
-    ///    placement eligibility (the fix for the single-gateway
-    ///    `purge_pu`: survivors must forget the dead node too);
-    /// 3. the state layer re-masters or quarantines regions mastered
-    ///    there, and the shim reclaims the PUs' capabilities and FIFOs.
+    /// Sweeps a dead node out of the whole control plane: the node leaves
+    /// the placement ring (keys fall through to their next owner;
+    /// everything else keeps its owner), then each of its PUs is declared
+    /// dead on the cluster's PU-death bus, which reclaims its shim state
+    /// and purges it from the runtime, every node's gateway and scheduler,
+    /// and the state layer.
     ///
     /// Idempotent per node. Returns the number of PUs swept.
     pub fn handle_node_death(&self, ctx: &mut ProcCtx, node: NodeId) -> usize {
@@ -302,17 +295,8 @@ impl RackFront {
             sh.stats.node_deaths += 1;
         }
         let pus = self.machine().node_pus(node);
-        let layer = self.state_layer.lock().clone();
         for &pu in &pus {
-            let mut purged = 0;
-            for gw in self.gateways.iter() {
-                purged += gw.api().purge_pu(pu);
-            }
-            self.shared.lock().stats.purged_instances += purged as u64;
-            if let Some(layer) = &layer {
-                layer.handle_pu_death(ctx, pu);
-            }
-            self.molecule.cluster().reclaim_pu(ctx, pu);
+            self.molecule.cluster().declare_pu_dead(ctx, pu);
         }
         telemetry::with(|r| r.metrics().counter_add("rack.node_deaths", 1));
         pus.len()

@@ -8,11 +8,13 @@ use hetsim::pu::{NodeId, PuId, PuKind};
 use hetsim::topology::Machine;
 use molecule_core::dag::{run_chain, ChainSpec, ChainStage, CommMethod};
 use molecule_core::function::FunctionDef;
+use molecule_core::health::{HealthChecker, HealthPolicy};
 use molecule_core::{Molecule, MoleculeConfig};
 use molecule_rack::{RackConfig, RackFront};
 use molecule_sched::gateway::{JobOutcome, SubmitOpts};
 use molecule_state::{RegionSpec, StateLayer};
 use vsandbox::spec::{FuncId, LangRuntime};
+use xpu_shim::cluster::RECLAIM_STAGE;
 
 /// Finds a function name the ring assigns to `node`.
 fn func_owned_by(front: &RackFront, node: NodeId, tag: &str) -> FuncId {
@@ -135,9 +137,9 @@ fn cross_node_chain_edges_take_the_descriptor_path() {
     assert_eq!(molecule.cluster().outstanding_segments(), 0, "every descriptor resolved");
 }
 
-/// Satellite regression: a node death must purge the dead node's PUs from
-/// *every* surviving gateway — region directories, warm pools and
-/// placement eligibility — not just the gateway that noticed.
+/// Regression: a node death must purge the dead node's PUs from the
+/// runtime and *every* surviving gateway — region directories, warm pools
+/// and placement eligibility — not just the gateway that noticed.
 #[test]
 fn node_death_sweeps_every_surviving_gateways_indexes() {
     let machine = Machine::rack(2, 1);
@@ -172,14 +174,35 @@ fn node_death_sweeps_every_surviving_gateways_indexes() {
         }
         // Warm an instance of the remote function on node 1 so its pool
         // has something to purge.
-        f.gateway(NodeId(1)).api().prewarm(ctx, &remote, PuId(3)).expect("prewarm");
+        let prewarmed = f.gateway(NodeId(1)).api().prewarm(ctx, &remote, PuId(3)).expect("prewarm");
         assert_eq!(f.gateway(NodeId(1)).api().warm_idle_count(&remote, PuId(3)), 1);
+        let executors = f.molecule().executor_count();
 
         // Node 1 dies; the sweep must reach every surviving gateway.
         machine_kill_node(&m, ctx.now(), NodeId(1));
         let swept = f.handle_node_death(ctx, NodeId(1));
         assert_eq!(swept, 2, "both node-1 PUs swept");
         assert_eq!(f.handle_node_death(ctx, NodeId(1)), 0, "idempotent");
+
+        // The runtime forgets the dead node too: its instances and both
+        // of its executors.
+        assert_eq!(f.molecule().instance_pu(prewarmed), None);
+        assert_eq!(f.molecule().executor_count(), executors - 2);
+        // Every layer saw each death once, after the reclaim, in the order
+        // it subscribed: the runtime, each node's gateway then scheduler,
+        // then the state layer.
+        let cluster = f.molecule().cluster();
+        let order = [RECLAIM_STAGE, "runtime", "gateway", "sched", "gateway", "sched", "state"];
+        let log = cluster.death_log();
+        assert_eq!(log, [PuId(2), PuId(3)].map(|pu| order.map(|s| (pu, s))).concat());
+        // A health checker that later finds the dead PUs declares nothing
+        // again: the bus already ran their recovery.
+        let health =
+            HealthChecker::new(f.gateway(NodeId(0)).api().clone(), HealthPolicy::default());
+        health.probe_round(ctx);
+        assert_eq!(health.dead_pus(), [PuId(2), PuId(3)]);
+        assert!(health.recoveries().is_empty(), "a death was recovered twice");
+        assert_eq!(cluster.death_log(), log);
 
         for gw in f.gateways() {
             let hosts = gw.api().region_directory().hosts("weights");

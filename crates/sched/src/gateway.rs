@@ -14,10 +14,10 @@
 //!    the fabric for a short window and coalesces every concurrently queued
 //!    request into one vectorized flash + `start_vec`.
 //! 3. **Failover** — when a PU dies (reported by the fault-shaped error of
-//!    an in-flight request, or by the health checker through
-//!    [`SchedGateway::attach_health`]), its queue drains and every entry is
-//!    re-placed on a surviving PU via [`RunQueue::force`], so admitted work
-//!    is never silently lost.
+//!    an in-flight request, or declared dead on the shim cluster's PU-death
+//!    bus, which the gateway subscribes to when built), its queue drains
+//!    and every entry is re-placed on a surviving PU via
+//!    [`RunQueue::force`], so admitted work is never silently lost.
 //! 4. **Autoscaling** — a periodic tick sizes each function's warm pools
 //!    from its [`RateEstimator`] by Little's law, prewarming ahead of
 //!    demand and retiring idle instances when the rate decays.
@@ -280,15 +280,19 @@ const SERVICE_EWMA_ALPHA: f64 = 0.2;
 /// queues, workers and stats.
 #[derive(Clone)]
 pub struct SchedGateway {
+    inner: Arc<SchedInner>,
+}
+
+struct SchedInner {
     api: ApiGateway,
-    config: Arc<SchedConfig>,
-    caches: Arc<BTreeMap<PuId, FpgaCacheManager>>,
-    shared: Arc<Mutex<Shared>>,
+    config: SchedConfig,
+    caches: BTreeMap<PuId, FpgaCacheManager>,
+    shared: Mutex<Shared>,
 }
 
 impl fmt::Debug for SchedGateway {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SchedGateway").field("stats", &self.shared.lock().stats).finish()
+        f.debug_struct("SchedGateway").field("stats", &self.inner.shared.lock().stats).finish()
     }
 }
 
@@ -324,43 +328,51 @@ impl SchedGateway {
                 );
             }
         }
-        SchedGateway {
-            api,
-            config: Arc::new(config),
-            caches: Arc::new(caches),
-            shared: Arc::new(Mutex::new(Shared {
-                queues,
-                wakes: BTreeMap::new(),
-                autoscale_stop: None,
-                estimators: BTreeMap::new(),
-                service_ewma_ns: BTreeMap::new(),
-                dead: BTreeSet::new(),
-                stats: SchedStats::default(),
-                buckets: BTreeMap::new(),
-                ledger: BTreeMap::new(),
-            })),
-        }
+        let cluster = api.molecule().cluster().clone();
+        let gateway = SchedGateway {
+            inner: Arc::new(SchedInner {
+                api,
+                config,
+                caches,
+                shared: Mutex::new(Shared {
+                    queues,
+                    wakes: BTreeMap::new(),
+                    autoscale_stop: None,
+                    estimators: BTreeMap::new(),
+                    service_ewma_ns: BTreeMap::new(),
+                    dead: BTreeSet::new(),
+                    stats: SchedStats::default(),
+                    buckets: BTreeMap::new(),
+                    ledger: BTreeMap::new(),
+                }),
+            }),
+        };
+        // A dead PU's queue drains into failover on surviving PUs.
+        cluster.on_pu_death("sched", &gateway.inner, |inner, ctx, pu| {
+            SchedGateway { inner }.fail_over(ctx, pu, Vec::new());
+        });
+        gateway
     }
 
     /// The wrapped request gateway.
     pub fn api(&self) -> &ApiGateway {
-        &self.api
+        &self.inner.api
     }
 
     /// Counters.
     pub fn stats(&self) -> SchedStats {
-        self.shared.lock().stats
+        self.inner.shared.lock().stats
     }
 
     /// Per-tenant ledgers, sorted by tenant id. Tenants appear once they
     /// have submitted at least one request.
     pub fn tenant_stats(&self) -> BTreeMap<TenantId, TenantLedger> {
-        self.shared.lock().ledger.clone()
+        self.inner.shared.lock().ledger.clone()
     }
 
     /// The FPGA cache manager serving `pu`, if `pu` is an FPGA.
     pub fn fpga_cache(&self, pu: PuId) -> Option<&FpgaCacheManager> {
-        self.caches.get(&pu)
+        self.inner.caches.get(&pu)
     }
 
     /// Spawns the per-PU worker pools (one process per queue token) and,
@@ -372,20 +384,20 @@ impl SchedGateway {
     /// [`Molecule::bootstrap`]: molecule_core::runtime::Molecule::bootstrap
     pub fn start(&self, ctx: &mut ProcCtx) {
         let plan: Vec<(PuId, usize)> = {
-            let sh = self.shared.lock();
+            let sh = self.inner.shared.lock();
             sh.queues.iter().map(|(pu, q)| (*pu, q.policy().tokens)).collect()
         };
         for (pu, tokens) in plan {
             for slot in 0..tokens {
                 let (tx, rx) = ctx.channel::<()>();
-                self.shared.lock().wakes.entry(pu).or_default().push(tx);
+                self.inner.shared.lock().wakes.entry(pu).or_default().push(tx);
                 let this = self.clone();
                 ctx.spawn(&format!("sched-worker-pu{}-{slot}", pu.0), move |wctx| {
                     this.worker_loop(wctx, pu, rx)
                 });
             }
         }
-        if self.config.autoscale.is_some() {
+        if self.inner.config.autoscale.is_some() {
             self.start_autoscaler(ctx);
         }
     }
@@ -393,17 +405,16 @@ impl SchedGateway {
     /// Drops every worker wake sender and the autoscaler's stop channel so
     /// all gateway processes exit once idle. Idempotent.
     pub fn shutdown(&self) {
-        let mut sh = self.shared.lock();
+        let mut sh = self.inner.shared.lock();
         sh.wakes.clear();
         sh.autoscale_stop = None;
     }
 
-    /// Registers the failover drain with `health`: when the checker
-    /// declares a PU dead, that PU's queue drains into surviving queues.
-    pub fn attach_health(&self, health: &HealthChecker) {
-        let this = self.clone();
-        health.on_declared_dead(move |ctx, pu| this.drain_dead_pu(ctx, pu));
-    }
+    /// Does nothing: the gateway subscribes to its cluster's PU-death bus
+    /// when built, so a death the checker declares already drains this
+    /// gateway's queue for that PU. Kept for callers written against the
+    /// old hook.
+    pub fn attach_health(&self, _health: &HealthChecker) {}
 
     /// Bridges a [`StateLayer`] into the gateway's
     /// [`RegionDirectory`](molecule_core::regions::RegionDirectory): every
@@ -414,7 +425,7 @@ impl SchedGateway {
     ///
     /// [`FunctionDef::regions`]: molecule_core::function::FunctionDef::regions
     pub fn attach_state_layer(&self, layer: &StateLayer) {
-        let dir = self.api.region_directory().clone();
+        let dir = self.inner.api.region_directory().clone();
         layer.set_host_observer(Arc::new(move |region, pu, hosted| {
             if hosted {
                 dir.publish(region, pu);
@@ -444,15 +455,15 @@ impl SchedGateway {
         let now = ctx.now();
         let tenant = opts.tenant;
         let def =
-            self.api.molecule().registry().get(func).ok_or_else(|| {
+            self.inner.api.molecule().registry().get(func).ok_or_else(|| {
                 SubmitError::Runtime(MoleculeError::UnknownFunction(func.clone()))
             })?;
-        let spec = self.config.tenants.spec(tenant);
+        let spec = self.inner.config.tenants.spec(tenant);
         {
-            let mut sh = self.shared.lock();
+            let mut sh = self.inner.shared.lock();
             sh.stats.submitted += 1;
             sh.ledger.entry(tenant).or_default().submitted += 1;
-            let tau = self.config.autoscale.map_or(SimDuration::from_millis(200), |a| a.tau);
+            let tau = self.inner.config.autoscale.map_or(SimDuration::from_millis(200), |a| a.tau);
             sh.estimators.entry(func.clone()).or_insert_with(|| RateEstimator::new(tau)).note(now);
             // Rate limiting happens here, before any queue or placer state
             // is touched: a flooding tenant is charged its deny without
@@ -474,7 +485,7 @@ impl SchedGateway {
 
         let candidates = self.candidate_pus(&def, input_bytes, opts.prev_stage);
         if candidates.is_empty() {
-            let mut sh = self.shared.lock();
+            let mut sh = self.inner.shared.lock();
             sh.stats.rejected += 1;
             sh.ledger.entry(tenant).or_default().rejected += 1;
             return Err(SubmitError::Runtime(MoleculeError::NoCapacity(func.clone())));
@@ -486,9 +497,9 @@ impl SchedGateway {
         let slo = def.slo;
         let batch = slo.is_some_and(|s| s.is_batch());
         let slo_target = slo.and_then(|s| s.latency_target());
-        let budget = opts.deadline.or(slo_target).or(self.config.deadline);
+        let budget = opts.deadline.or(slo_target).or(self.inner.config.deadline);
         let deadline_at = budget.map(|b| now + b);
-        let weight = self.config.tenants.weight(tenant);
+        let weight = self.inner.config.tenants.weight(tenant);
         let (tx, rx) = ctx.channel::<JobOutcome>();
         let mut job = Job { func: func.clone(), input: input_bytes, submitted_at: now, reply: tx };
         let mut last = None;
@@ -506,7 +517,7 @@ impl SchedGateway {
                 }
             }
             let (offered, evicted) = {
-                let mut sh = self.shared.lock();
+                let mut sh = self.inner.shared.lock();
                 let queue = sh.queues.get_mut(&cand.pu).expect("candidate PU has a queue");
                 let mut evicted = None;
                 let first =
@@ -541,7 +552,7 @@ impl SchedGateway {
                 (offered, evicted)
             };
             if let Some(victim) = evicted {
-                self.api.note_shed(&victim.payload.func, now);
+                self.inner.api.note_shed(&victim.payload.func, now);
                 telemetry::counter_add_tenant("sched.shed", victim.tenant.raw(), 1);
                 let _ = victim.payload.reply.send(JobOutcome::Shed {
                     pu: cand.pu,
@@ -563,11 +574,11 @@ impl SchedGateway {
         }
 
         {
-            let mut sh = self.shared.lock();
+            let mut sh = self.inner.shared.lock();
             sh.stats.rejected += 1;
             sh.ledger.entry(tenant).or_default().rejected += 1;
         }
-        self.api.note_shed(func, now);
+        self.inner.api.note_shed(func, now);
         telemetry::counter_add("sched.rejected", 1);
         telemetry::counter_add_tenant("sched.rejected", tenant.raw(), 1);
         Err(SubmitError::Overloaded(last.expect("candidates was non-empty")))
@@ -601,32 +612,32 @@ impl SchedGateway {
         input_bytes: u64,
         prev_stage: Option<PuId>,
     ) -> Vec<Candidate> {
-        let machine = self.api.molecule().machine();
-        let avoided: BTreeSet<PuId> = self.api.avoided_pus().into_iter().collect();
+        let machine = self.inner.api.molecule().machine();
+        let avoided: BTreeSet<PuId> = self.inner.api.avoided_pus().into_iter().collect();
         let loads: Vec<PuLoad> = {
-            let sh = self.shared.lock();
+            let sh = self.inner.shared.lock();
             sh.queues
                 .iter()
                 .filter(|(pu, _)| !avoided.contains(pu) && !sh.dead.contains(pu))
                 .map(|(pu, q)| {
                     let fallback = placer::exec_estimate(machine, def, *pu, input_bytes)
                         .unwrap_or_else(|| SimDuration::from_millis(1));
-                    let warm = match self.caches.get(pu) {
+                    let warm = match self.inner.caches.get(pu) {
                         Some(cache) => cache.is_resident(&def.id),
-                        None => self.api.warm_idle_count(&def.id, *pu) > 0,
+                        None => self.inner.api.warm_idle_count(&def.id, *pu) > 0,
                     };
                     PuLoad { pu: *pu, wait: q.estimated_wait(fallback), warm }
                 })
                 .collect()
         };
-        match self.config.mode {
+        match self.inner.config.mode {
             PlacementMode::LoadAware => {
                 // State locality: PUs already hosting the function's
                 // declared regions earn the state bonus.
                 let state_hosts = if def.regions.is_empty() {
                     Vec::new()
                 } else {
-                    self.api.region_directory().hosts_of_any(&def.regions)
+                    self.inner.api.region_directory().hosts_of_any(&def.regions)
                 };
                 placer::rank(
                     machine,
@@ -634,10 +645,10 @@ impl SchedGateway {
                     input_bytes,
                     prev_stage,
                     &loads,
-                    self.config.colocate_bonus,
+                    self.inner.config.colocate_bonus,
                     &state_hosts,
-                    self.config.state_bonus,
-                    self.config.node_bonus,
+                    self.inner.config.state_bonus,
+                    self.inner.config.node_bonus,
                 )
             }
             PlacementMode::FirstFit => {
@@ -671,7 +682,7 @@ impl SchedGateway {
             loop {
                 let now = ctx.now();
                 let (expired, job) = {
-                    let mut sh = self.shared.lock();
+                    let mut sh = self.inner.shared.lock();
                     if sh.dead.contains(&pu) {
                         break;
                     }
@@ -685,7 +696,7 @@ impl SchedGateway {
                     (expired, job)
                 };
                 for entry in expired {
-                    self.api.note_shed(&entry.payload.func, now);
+                    self.inner.api.note_shed(&entry.payload.func, now);
                     telemetry::counter_add("sched.shed", 1);
                     telemetry::counter_add_tenant("sched.shed", entry.tenant.raw(), 1);
                     let _ = entry.payload.reply.send(JobOutcome::Shed {
@@ -696,7 +707,7 @@ impl SchedGateway {
                 }
                 let Some(job) = job else { break };
                 self.publish_depth(pu);
-                if self.caches.contains_key(&pu) {
+                if self.inner.caches.contains_key(&pu) {
                     self.serve_fpga(ctx, pu, job);
                 } else {
                     self.serve_general(ctx, pu, job);
@@ -707,14 +718,14 @@ impl SchedGateway {
 
     fn serve_general(&self, ctx: &mut ProcCtx, pu: PuId, job: Queued<Job>) {
         let serve_start = ctx.now();
-        match self.api.handle_request_on(ctx, &job.payload.func, pu, job.payload.input) {
+        match self.inner.api.handle_request_on(ctx, &job.payload.func, pu, job.payload.input) {
             Ok(report) => {
                 self.complete(ctx, pu, job, serve_start, report.cold_start);
             }
             Err(err) => match ApiGateway::failed_pu(&err) {
                 Some(bad) => {
                     {
-                        let mut sh = self.shared.lock();
+                        let mut sh = self.inner.shared.lock();
                         if let Some(q) = sh.queues.get_mut(&pu) {
                             q.abandon(job.tenant);
                         }
@@ -729,18 +740,21 @@ impl SchedGateway {
     /// Serves an FPGA request, coalescing co-pending cold starts behind a
     /// miss into one vectorized flash.
     fn serve_fpga(&self, ctx: &mut ProcCtx, pu: PuId, first: Queued<Job>) {
-        let cache = &self.caches[&pu];
+        let cache = &self.inner.caches[&pu];
         let serve_start = ctx.now();
         let miss = !cache.is_resident(&first.payload.func);
         let mut batch = vec![first];
-        if miss && self.config.batch_window > SimDuration::ZERO && self.config.batch_max > 1 {
+        if miss
+            && self.inner.config.batch_window > SimDuration::ZERO
+            && self.inner.config.batch_max > 1
+        {
             // Hold the fabric briefly: every request that queues behind this
             // miss during the window shares its single flash.
-            ctx.sleep(self.config.batch_window);
+            ctx.sleep(self.inner.config.batch_window);
             let now = ctx.now();
-            let mut sh = self.shared.lock();
+            let mut sh = self.inner.shared.lock();
             if let Some(queue) = sh.queues.get_mut(&pu) {
-                while batch.len() < self.config.batch_max {
+                while batch.len() < self.inner.config.batch_max {
                     match queue.begin(now) {
                         Some(job) => batch.push(job),
                         None => break,
@@ -754,7 +768,7 @@ impl SchedGateway {
             Ok(results) => {
                 if batch.len() > 1 {
                     let cold = results.iter().filter(|(_, hit)| !hit).count() as u64;
-                    let mut sh = self.shared.lock();
+                    let mut sh = self.inner.shared.lock();
                     sh.stats.batches += 1;
                     sh.stats.batched_cold_starts += cold;
                     telemetry::counter_add("sched.batched_cold_starts", cold);
@@ -766,7 +780,7 @@ impl SchedGateway {
             Err(err) => match ApiGateway::failed_pu(&err) {
                 Some(bad) => {
                     {
-                        let mut sh = self.shared.lock();
+                        let mut sh = self.inner.shared.lock();
                         if let Some(q) = sh.queues.get_mut(&pu) {
                             for job in &batch {
                                 q.abandon(job.tenant);
@@ -796,7 +810,7 @@ impl SchedGateway {
     ) {
         let service = ctx.now().saturating_duration_since(serve_start);
         {
-            let mut sh = self.shared.lock();
+            let mut sh = self.inner.shared.lock();
             if let Some(q) = sh.queues.get_mut(&pu) {
                 q.finish(job.tenant, service);
             }
@@ -821,7 +835,7 @@ impl SchedGateway {
     /// token and replies `Failed`.
     fn fail(&self, pu: PuId, job: Queued<Job>, err: &MoleculeError) {
         {
-            let mut sh = self.shared.lock();
+            let mut sh = self.inner.shared.lock();
             if let Some(q) = sh.queues.get_mut(&pu) {
                 q.abandon(job.tenant);
             }
@@ -833,21 +847,16 @@ impl SchedGateway {
 
     // ----- failover --------------------------------------------------------
 
-    /// Health-checker hook: drains the dead PU's queue into survivors.
-    pub fn drain_dead_pu(&self, ctx: &mut ProcCtx, pu: PuId) {
-        self.fail_over(ctx, pu, Vec::new());
-    }
-
     /// Quarantines `bad`, drains its queue, and re-places the drained
     /// entries plus `carry` (in-flight jobs whose service died under them)
     /// on surviving PUs, bypassing depth bounds: conservation beats
     /// backpressure once work is already admitted.
     fn fail_over(&self, ctx: &mut ProcCtx, bad: PuId, carry: Vec<Queued<Job>>) {
-        self.api.mark_pu_unschedulable(bad);
+        self.inner.api.mark_pu_unschedulable(bad);
         let now = ctx.now();
         let mut jobs = carry;
         {
-            let mut sh = self.shared.lock();
+            let mut sh = self.inner.shared.lock();
             sh.dead.insert(bad);
             // Wake the dead PU's workers so they observe `dead` and park.
             sh.wakes.remove(&bad);
@@ -859,7 +868,7 @@ impl SchedGateway {
             return;
         }
         telemetry::instant(bad.0, now.as_nanos(), "sched:drain_dead_pu", None);
-        let registry = self.api.molecule().registry().clone();
+        let registry = self.inner.api.molecule().registry().clone();
         let mut to_wake = BTreeSet::new();
         for job in jobs {
             let Some(def) = registry.get(&job.payload.func) else {
@@ -875,9 +884,9 @@ impl SchedGateway {
             match target {
                 Some(target) => {
                     {
-                        let mut sh = self.shared.lock();
+                        let mut sh = self.inner.shared.lock();
                         let queue = sh.queues.get_mut(&target).expect("candidate PU has a queue");
-                        let weight = self.config.tenants.weight(job.tenant);
+                        let weight = self.inner.config.tenants.weight(job.tenant);
                         queue.force_for(
                             now,
                             job.tenant,
@@ -893,7 +902,7 @@ impl SchedGateway {
                     to_wake.insert(target);
                 }
                 None => {
-                    self.shared.lock().stats.failed += 1;
+                    self.inner.shared.lock().stats.failed += 1;
                     let _ = job.payload.reply.send(JobOutcome::Failed(format!(
                         "no surviving PU can serve {}",
                         job.payload.func
@@ -912,9 +921,9 @@ impl SchedGateway {
     /// Spawns the periodic autoscale process. Called by
     /// [`start`](Self::start) when [`SchedConfig::autoscale`] is set.
     fn start_autoscaler(&self, ctx: &mut ProcCtx) {
-        let Some(cfg) = self.config.autoscale else { return };
+        let Some(cfg) = self.inner.config.autoscale else { return };
         let (tx, rx) = ctx.channel::<()>();
-        self.shared.lock().autoscale_stop = Some(tx);
+        self.inner.shared.lock().autoscale_stop = Some(tx);
         let this = self.clone();
         ctx.spawn("sched-autoscaler", move |actx| loop {
             match rx.recv_timeout(actx, cfg.interval) {
@@ -934,17 +943,17 @@ impl SchedGateway {
     /// [`ApiGateway::prewarm`]: molecule_core::gateway::ApiGateway::prewarm
     /// [`ApiGateway::retire_idle_on`]: molecule_core::gateway::ApiGateway::retire_idle_on
     pub fn autoscale_tick(&self, ctx: &mut ProcCtx) -> (usize, usize) {
-        let Some(cfg) = self.config.autoscale else { return (0, 0) };
+        let Some(cfg) = self.inner.config.autoscale else { return (0, 0) };
         let now = ctx.now();
         let snapshot: Vec<(FuncId, f64, Option<f64>)> = {
-            let sh = self.shared.lock();
+            let sh = self.inner.shared.lock();
             sh.estimators
                 .iter()
                 .map(|(f, est)| (f.clone(), est.rate_hz(now), sh.service_ewma_ns.get(f).copied()))
                 .collect()
         };
-        let registry = self.api.molecule().registry().clone();
-        let machine = self.api.molecule().machine().clone();
+        let registry = self.inner.api.molecule().registry().clone();
+        let machine = self.inner.api.molecule().machine().clone();
         let (mut grown, mut shrunk) = (0, 0);
         for (func, rate, ewma_ns) in snapshot {
             let Some(def) = registry.get(&func) else { continue };
@@ -963,16 +972,16 @@ impl SchedGateway {
             for pu in pools {
                 let want = remaining.min(cfg.max_warm_per_pu);
                 remaining -= want;
-                let have = self.api.warm_idle_count(&func, pu);
+                let have = self.inner.api.warm_idle_count(&func, pu);
                 if have < want {
                     for _ in have..want {
-                        if self.api.prewarm(ctx, &func, pu).is_err() {
+                        if self.inner.api.prewarm(ctx, &func, pu).is_err() {
                             break;
                         }
                         grown += 1;
                     }
                 } else if have > want {
-                    match self.api.retire_idle_on(ctx, &func, pu, want) {
+                    match self.inner.api.retire_idle_on(ctx, &func, pu, want) {
                         Ok(n) => shrunk += n,
                         Err(_) => continue,
                     }
@@ -989,7 +998,7 @@ impl SchedGateway {
 
     fn wake_pu(&self, pu: PuId) {
         let senders = {
-            let sh = self.shared.lock();
+            let sh = self.inner.shared.lock();
             sh.wakes.get(&pu).cloned().unwrap_or_default()
         };
         for tx in senders {
@@ -1004,7 +1013,7 @@ impl SchedGateway {
             return;
         }
         let depth = {
-            let sh = self.shared.lock();
+            let sh = self.inner.shared.lock();
             sh.queues.get(&pu).map_or(0, RunQueue::queued)
         };
         telemetry::gauge_set(&format!("sched.pu{}.queue_depth", pu.0), depth as i64);
@@ -1258,8 +1267,10 @@ mod tests {
             let rxs: Vec<_> = (0..9)
                 .map(|_| g.submit(ctx, &"edge".into(), 1024, SubmitOpts::default()).unwrap())
                 .collect();
-            let dpu = g.api().molecule().machine().pus_of_kind(PuKind::Dpu)[0];
-            g.drain_dead_pu(ctx, dpu);
+            let machine = g.api().molecule().machine().clone();
+            let dpu = machine.pus_of_kind(PuKind::Dpu)[0];
+            machine.fault_plane().kill_pu(ctx.now(), dpu);
+            g.api().molecule().cluster().declare_pu_dead(ctx, dpu);
             rxs.into_iter().map(|rx| rx.recv(ctx).unwrap()).collect::<Vec<_>>()
         });
         assert_eq!(outcomes.len(), 9, "no admitted request may be lost");

@@ -72,7 +72,7 @@ pub mod shrink;
 pub mod state_oracle;
 
 pub use explore::{explore, explore_faulty, Check, ExploreOptions, ExploreReport, ViolationReport};
-pub use oracle::{check_snapshot, ClusterOracle, FifoOrderTracker, OracleConfig};
+pub use oracle::{check_deaths, check_snapshot, ClusterOracle, FifoOrderTracker, OracleConfig};
 pub use policy::{ReplayPolicy, ShuffledPolicy};
 pub use state_oracle::{check_state, StateHistory, StateOracle};
 

@@ -12,7 +12,9 @@ use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use hetsim::engine::Simulation;
+use hetsim::pu::PuId;
 use xpu_shim::cap::Perm;
+use xpu_shim::cluster::RECLAIM_STAGE;
 use xpu_shim::{ClusterSnapshot, ObjId, ShimCluster, TenantId, XpuPid};
 
 /// Which invariants [`check_snapshot`] enforces.
@@ -163,6 +165,33 @@ pub fn check_snapshot(snap: &ClusterSnapshot, cfg: &OracleConfig) -> Result<(), 
     for (uuid, n) in &snap.parked_segments {
         if !live.contains(uuid) && !live_regions.contains(uuid) {
             return Err(format!("{n} leaked segment slot(s) parked for dead UUID {uuid}"));
+        }
+    }
+    Ok(())
+}
+
+/// Checks the cluster's PU-death bus log: each PU in `dead` reached the
+/// shim's reclaim and then every stage in `subscribers`, exactly once and
+/// in that order, and no other PU was declared dead.
+///
+/// # Errors
+///
+/// The first PU whose deliveries differ, with what it saw.
+pub fn check_deaths(
+    cluster: &ShimCluster,
+    dead: &[PuId],
+    subscribers: &[&str],
+) -> Result<(), String> {
+    let log = cluster.death_log();
+    if let Some((pu, _)) = log.iter().find(|(pu, _)| !dead.contains(pu)) {
+        return Err(format!("{pu} was declared dead but never died"));
+    }
+    let want: Vec<&str> =
+        std::iter::once(RECLAIM_STAGE).chain(subscribers.iter().copied()).collect();
+    for &pu in dead {
+        let seen: Vec<&str> = log.iter().filter(|(p, _)| *p == pu).map(|(_, s)| *s).collect();
+        if seen != want {
+            return Err(format!("death of {pu} delivered as {seen:?}, want {want:?}"));
         }
     }
     Ok(())

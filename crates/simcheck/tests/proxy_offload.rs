@@ -62,12 +62,12 @@ fn check_exactly_once(out: &Outcome) -> Result<(), String> {
 
 /// Shared scenario body: a driver deploys the pool, fans out `CLIENTS`
 /// host-side client processes each issuing a paced stream of mixed
-/// inline/descriptor offloads, joins them, then (optionally) sweeps the
-/// killed DPU and always shuts the proxies down so the run quiesces.
+/// inline/descriptor offloads, joins them, then (optionally) declares the
+/// killed DPU dead and always shuts the proxies down so the run quiesces.
 fn run_offload_fleet(
     sim: &mut Simulation,
     machine: Machine,
-    reclaim_dead: Option<PuId>,
+    declare_dead: Option<PuId>,
 ) -> (hetsim::engine::ProcHandle<Outcome>, ClusterOracle) {
     let cluster = ShimCluster::deploy(machine, ShimConfig::default());
     let oracle = ClusterOracle::install(sim, &cluster, OracleConfig::default());
@@ -115,10 +115,11 @@ fn run_offload_fleet(
             issued_errs += e;
             no_proxy += n;
         }
-        // In the faulty suite the control plane sweeps the dead DPU: that
-        // closes its FIFOs, which is what unblocks its proxy processes.
-        if let Some(dead) = reclaim_dead {
-            cl.reclaim_pu(ctx, dead);
+        // In the faulty suite the control plane declares the DPU dead: the
+        // bus's reclaim closes its FIFOs, which is what unblocks its proxy
+        // processes, and the pool takes it out of rotation.
+        if let Some(dead) = declare_dead {
+            cl.declare_pu_dead(ctx, dead);
         }
         pool.shutdown(ctx);
         Outcome {
@@ -154,8 +155,8 @@ fn offload_scenario(sim: &mut Simulation) -> Check {
 /// fail over; each failed request is reclaimed exactly once and the
 /// survivor DPU's proxies keep serving.
 fn dpu_kill_scenario(sim: &mut Simulation, plan: &FaultPlan) -> Check {
-    // The plan kills PuId(1); the shared body sweeps it after the clients
-    // drain so the run quiesces.
+    // The plan kills PuId(1); the shared body declares it dead after the
+    // clients drain so the run quiesces.
     let machine = Machine::paper_cpu_dpu_server();
     molecule_chaos::spawn_injector(sim, &machine, plan);
     let (driver, oracle) = run_offload_fleet(sim, machine, Some(PuId(1)));

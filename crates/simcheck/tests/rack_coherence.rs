@@ -24,7 +24,7 @@ use hetsim::time::{SimDuration, SimTime};
 use hetsim::topology::Machine;
 use molecule_chaos::{FaultAction, FaultPlan};
 use molecule_simcheck::explore::{explore, explore_faulty, Check, ExploreOptions};
-use molecule_simcheck::{OracleConfig, StateOracle};
+use molecule_simcheck::{check_deaths, OracleConfig, StateOracle};
 use molecule_state::{RegionSpec, StateError, StateLayer};
 use xpu_shim::{ShimCluster, ShimConfig};
 
@@ -186,9 +186,9 @@ fn cross_node_commit_pull_races_stay_coherent() {
 }
 
 /// The faulty suite: node 1 — mastering both regions — is killed whole by
-/// the chaos plane's `kill-node` verb mid-stream. A supervisor sweeps the
-/// dead node's PUs one by one (reclaim + re-master), the way the rack
-/// front's dead-node sweep does; racing node-0 writers and readers ride
+/// the chaos plane's `kill-node` verb mid-stream. A supervisor declares the
+/// dead node's PUs dead one by one on the PU-death bus (reclaim, then
+/// re-master), the way the rack front's dead-node sweep does; racing node-0 writers and readers ride
 /// through the crash on legal transients. The oracle demands the version
 /// vector survives re-mastering monotonically and nothing leaks.
 fn node_kill_scenario(sim: &mut Simulation, plan: &FaultPlan) -> Check {
@@ -210,12 +210,12 @@ fn node_kill_scenario(sim: &mut Simulation, plan: &FaultPlan) -> Check {
             // Master on the doomed node's DPU; survivors attach from node 0.
             l.create_region(ctx, PuId(3), RegionSpec::new(&region, PAGES))
                 .map_err(|e| format!("create {region}: {e}"))?;
-            // Past the node kill (300us): sweep every PU of the dead node,
-            // then re-master its regions onto the freshest survivor.
+            // Past the node kill (300us): declare every PU of the dead node
+            // dead; the bus reclaims each and the layer re-masters its
+            // regions onto the freshest survivor.
             ctx.sleep(SimDuration::from_micros(500));
             for pu in m.node_pus(NodeId(1)) {
-                cl.reclaim_pu(ctx, pu);
-                l.handle_pu_death(ctx, pu);
+                cl.declare_pu_dead(ctx, pu);
             }
             // Let the stragglers run out, then tear the region down.
             ctx.sleep(SimDuration::from_millis(4));
@@ -283,6 +283,9 @@ fn node_kill_scenario(sim: &mut Simulation, plan: &FaultPlan) -> Check {
         }
         // Regions were dropped (or died with node 1 and were reclaimed);
         // either way no capability or arena slot may survive.
+        // Each dead PU reached the layer exactly once, after the reclaim,
+        // however many supervisors declared it.
+        check_deaths(&cluster, &[PuId(2), PuId(3)], &["state"])?;
         oracle.verdict(true)
     })
 }

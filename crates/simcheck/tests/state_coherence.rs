@@ -19,7 +19,7 @@ use hetsim::time::{SimDuration, SimTime};
 use hetsim::topology::Machine;
 use molecule_chaos::{FaultAction, FaultPlan};
 use molecule_simcheck::explore::{explore, explore_faulty, Check, ExploreOptions};
-use molecule_simcheck::{OracleConfig, StateOracle};
+use molecule_simcheck::{check_deaths, OracleConfig, StateOracle};
 use molecule_state::{RegionSpec, StateError, StateLayer};
 use xpu_shim::{ShimCluster, ShimConfig};
 
@@ -201,12 +201,11 @@ fn owner_kill_scenario(sim: &mut Simulation, plan: &FaultPlan) -> Check {
             // Master on the doomed DPU; survivors attach from the workers.
             l.create_region(ctx, PuId(1), RegionSpec::new(&region, PAGES))
                 .map_err(|e| format!("create {region}: {e}"))?;
-            // Past the kill (300us): sweep the dead PU exactly once, then
-            // re-master its regions. Supervisor 0 runs the sweep; the other
-            // would double-reclaim, which reclaim_pu must tolerate anyway.
+            // Past the kill (300us): declare the dead PU; the bus reclaims
+            // it and the layer re-masters its regions. Both supervisors
+            // declare it; the bus runs the recovery for the first only.
             ctx.sleep(SimDuration::from_micros(500));
-            cl.reclaim_pu(ctx, PuId(1));
-            l.handle_pu_death(ctx, PuId(1));
+            cl.declare_pu_dead(ctx, PuId(1));
             // Let the stragglers run out, then tear the region down.
             ctx.sleep(SimDuration::from_millis(4));
             match l.drop_region(ctx, &region) {
@@ -273,6 +272,9 @@ fn owner_kill_scenario(sim: &mut Simulation, plan: &FaultPlan) -> Check {
         }
         // Regions are dropped (or died with the DPU and were reclaimed);
         // either way no slot may survive.
+        // Each dead PU reached the layer exactly once, after the reclaim,
+        // however many supervisors declared it.
+        check_deaths(&cluster, &[PuId(1)], &["state"])?;
         oracle.verdict(true)
     })
 }

@@ -19,13 +19,14 @@
 //! one-shot `SegDescriptor` hand-offs through the shared-segment arena —
 //! the same fabric (and the same reclamation sweep) as nIPC FIFO payloads.
 //!
-//! **Failure.** When a master's PU dies, `ShimCluster::reclaim_pu` sweeps
-//! the region's UUID, guard object and parked slots exactly once;
-//! [`handle_pu_death`](StateLayer::handle_pu_death) then re-masters each
-//! orphaned region onto the surviving replica with the freshest cache,
-//! re-registering it under a fresh generation UUID. Commits that only
-//! reached the dead master's memory are lost (documented write-back
-//! semantics); the committed-version counter still never moves backwards.
+//! **Failure.** The layer subscribes to the shim cluster's PU-death bus.
+//! When a master's PU is declared dead (`ShimCluster::declare_pu_dead`),
+//! the shim's reclaim sweeps the region's UUID, guard object and parked
+//! slots exactly once; the layer then re-masters each orphaned region onto
+//! the surviving replica with the freshest cache, re-registering it under
+//! a fresh generation UUID. Commits that only reached the dead master's
+//! memory are lost (documented write-back semantics); the committed-version
+//! counter still never moves backwards.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -173,13 +174,17 @@ impl fmt::Debug for StateLayer {
 impl StateLayer {
     /// Deploys the state layer over an existing shim cluster.
     pub fn new(cluster: ShimCluster) -> StateLayer {
-        StateLayer {
+        let layer = StateLayer {
             inner: Arc::new(LayerInner {
                 cluster,
                 state: Mutex::new(LayerState::default()),
                 observer: Mutex::new(None),
             }),
-        }
+        };
+        layer.inner.cluster.on_pu_death("state", &layer.inner, |inner, ctx, pu| {
+            StateLayer { inner }.handle_pu_death(ctx, pu);
+        });
+        layer
     }
 
     /// The shim cluster this layer syncs through.
@@ -845,19 +850,18 @@ impl StateLayer {
         self.inner.cluster.shim_on(pu).map(|s| s.detach_process(replica.daemon)).ok();
     }
 
-    /// Recovers the layer after `dead`'s crash. Call **after**
-    /// [`ShimCluster::reclaim_pu`], which has already swept the dead
-    /// master's region UUIDs, guard objects, capabilities and parked slots.
-    /// Dead replicas are forgotten; each region the dead PU mastered is
-    /// re-mastered onto the surviving replica with the freshest cache
-    /// (ties to the lowest PU) under a fresh generation UUID, and surviving
-    /// replicas get their capabilities re-granted. The new master re-commits
-    /// its cache as a version above everything ever committed, so the
-    /// version vector stays monotone even though unreplicated commits are
-    /// lost. A region with no surviving replica is gone.
-    ///
-    /// Returns the re-mastered region names.
-    pub fn handle_pu_death(&self, ctx: &mut ProcCtx, dead: PuId) -> Vec<String> {
+    /// The layer's PU-death subscriber: recovers the layer after `dead`'s
+    /// crash. The bus runs it after [`ShimCluster::reclaim_pu`], which has
+    /// already swept the dead master's region UUIDs, guard objects,
+    /// capabilities and parked slots. Dead replicas are forgotten; each
+    /// region the dead PU mastered is re-mastered onto the surviving
+    /// replica with the freshest cache (ties to the lowest PU) under a
+    /// fresh generation UUID, and surviving replicas get their capabilities
+    /// re-granted. The new master re-commits its cache as a version above
+    /// everything ever committed, so the version vector stays monotone even
+    /// though unreplicated commits are lost. A region with no surviving
+    /// replica is gone.
+    fn handle_pu_death(&self, ctx: &mut ProcCtx, dead: PuId) {
         // Phase 1: prune dead replicas and pick the new masters.
         let mut dropped_hosts: Vec<(String, PuId)> = Vec::new();
         let mut remaster: Vec<(String, PuId)> = Vec::new();
@@ -911,7 +915,6 @@ impl StateLayer {
         }
         // Phase 2: re-register each re-mastered region cluster-wide and
         // re-grant the surviving replicas their capabilities.
-        let mut remastered = Vec::new();
         for (name, new_master) in remaster {
             let (uuid, daemon, peers) = {
                 let st = self.inner.state.lock();
@@ -941,9 +944,7 @@ impl StateLayer {
                 }
             }
             telemetry::counter_add("state.remasters", 1);
-            remastered.push(name);
         }
-        remastered
     }
 
     /// A deterministic snapshot for the coherence oracle: every region with

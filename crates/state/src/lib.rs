@@ -14,12 +14,12 @@
 //!   per page, pull-on-miss with per-replica single-flight, and a CAS
 //!   primitive linearized at the region master. Large payloads ride the
 //!   zero-copy `SegDescriptor` path through the shared-segment arena;
-//! * **Failure** — a dead owner's regions are swept by
-//!   `ShimCluster::reclaim_pu` (UUID, guard object and parked slots,
-//!   exactly once) and re-mastered by
-//!   [`StateLayer::handle_pu_death`] onto the freshest surviving replica
-//!   under a fresh generation UUID, with the committed-version counter kept
-//!   monotone.
+//! * **Failure** — when a PU is declared dead on the shim cluster's
+//!   PU-death bus (`ShimCluster::declare_pu_dead`), its regions are swept
+//!   by the shim's reclaim (UUID, guard object and parked slots, exactly
+//!   once) and re-mastered by the layer's subscriber onto the freshest
+//!   surviving replica under a fresh generation UUID, with the
+//!   committed-version counter kept monotone.
 //!
 //! # Examples
 //!

@@ -36,6 +36,9 @@ use crate::id::{GlobalUuid, ObjId, XpuPid};
 use crate::segment::{SegDescriptor, SegmentArena};
 use crate::xcall::{bucket_representative, payload_bucket, XcallTransport};
 
+mod death;
+pub use death::RECLAIM_STAGE;
+
 /// Exponential-backoff retry policy for idempotency-keyed XPUcalls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -331,6 +334,7 @@ struct ClusterInner {
     /// reader's resolve fault lands on the owning node's arena exactly once.
     arenas: Vec<SegmentArena>,
     adaptive: Mutex<AdaptiveState>,
+    deaths: Mutex<death::DeathBus>,
 }
 
 /// The distributed XPU-Shim deployment on one machine.
@@ -387,6 +391,7 @@ impl ShimCluster {
                 }),
                 arenas,
                 adaptive: Mutex::new(AdaptiveState::default()),
+                deaths: Mutex::new(death::DeathBus::default()),
             }),
         }
     }
@@ -1506,7 +1511,10 @@ impl ShimCluster {
     /// batched UUID-free broadcast, now triggered by an actual failure).
     /// The capability revocations themselves synchronize immediately.
     ///
-    /// Idempotent: a second sweep of the same PU finds nothing.
+    /// Idempotent: a second sweep of the same PU finds nothing. Layers
+    /// above the shim declare a death with
+    /// [`declare_pu_dead`](Self::declare_pu_dead), which runs this sweep
+    /// first and then hands the death to every subscribed layer.
     ///
     /// Amortized: the candidate lists come from per-PU indices (O(resources
     /// on `dead`), never a scan of every live FIFO/region/process), and a

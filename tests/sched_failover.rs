@@ -1,19 +1,23 @@
 //! End-to-end failover: a PU dies mid-burst and every request queued on it
 //! completes on a surviving PU — the scheduling gateway's conservation
-//! guarantee wired through the real health-checker pipeline.
+//! guarantee wired through the real health checker and the shim cluster's
+//! PU-death bus, which every layer over the cluster subscribes to.
 
 use hetsim::engine::Simulation;
-use hetsim::pu::PuKind;
+use hetsim::pu::{PuId, PuKind};
 use hetsim::time::SimDuration;
 use hetsim::topology::Machine;
 use molecule_core::function::FunctionDef;
 use molecule_core::gateway::{ApiGateway, GatewayConfig};
 use molecule_core::health::{HealthChecker, HealthPolicy};
 use molecule_core::keepalive::Lru;
+use molecule_core::proxy::{ProxyPool, ProxyPoolConfig};
 use molecule_core::runtime::{Molecule, MoleculeConfig};
 use molecule_core::schedule::Scheduler;
 use molecule_sched::{JobOutcome, SchedConfig, SchedGateway, SubmitOpts};
+use molecule_state::{RegionSpec, StateLayer};
 use vsandbox::spec::{FuncId, LangRuntime};
+use xpu_shim::cluster::RECLAIM_STAGE;
 
 #[test]
 fn queued_requests_survive_a_pu_death_mid_burst() {
@@ -36,7 +40,6 @@ fn queued_requests_survive_a_pu_death_mid_burst() {
     );
     let gw = SchedGateway::new(api, SchedConfig { dpu_tokens: 1, ..SchedConfig::default() });
     let health = HealthChecker::new(gw.api().clone(), HealthPolicy::default());
-    gw.attach_health(&health);
 
     let mut sim = Simulation::new();
     let g = gw.clone();
@@ -54,7 +57,8 @@ fn queued_requests_survive_a_pu_death_mid_burst() {
             .collect();
 
         // Kill one DPU with its queue still loaded, then let the health
-        // checker find the corpse and fire the drain hook.
+        // checker find the corpse and declare it dead on the bus, which
+        // drains the queue.
         let machine = g.api().molecule().machine().clone();
         let victim = machine.pus_of_kind(PuKind::Dpu)[0];
         machine.fault_plane().kill_pu(ctx.now(), victim);
@@ -136,7 +140,6 @@ fn in_flight_cold_start_batch_survives_fpga_death_mid_window() {
         },
     );
     let health = HealthChecker::new(gw.api().clone(), HealthPolicy::default());
-    gw.attach_health(&health);
 
     let mut sim = Simulation::new();
     let g = gw.clone();
@@ -183,4 +186,90 @@ fn in_flight_cold_start_batch_survives_fpga_death_mid_window() {
         stats.requeued > 0,
         "the victim's batch and queue should have re-placed, not vanished: {stats:?}"
     );
+}
+
+/// The full stack over one paper machine: runtime, gateway, scheduler and
+/// health checker, plus a state layer on the same cluster.
+fn stack() -> (SchedGateway, HealthChecker, StateLayer) {
+    let molecule = Molecule::launch(Machine::paper_cpu_dpu_server(), MoleculeConfig::default());
+    let api = ApiGateway::new(
+        molecule,
+        Scheduler::default(),
+        GatewayConfig::default(),
+        Box::new(Lru::new()),
+    );
+    let gw = SchedGateway::new(api, SchedConfig::default());
+    let layer = StateLayer::new(gw.api().molecule().cluster().clone());
+    gw.attach_state_layer(&layer);
+    let health = HealthChecker::new(gw.api().clone(), HealthPolicy::default());
+    (gw, health, layer)
+}
+
+/// A health-declared DPU death reaches every layer on the cluster, not
+/// just the runtime and the gateway: the state layer re-masters the region
+/// the DPU mastered onto the survivor, and the proxy pool stops routing to
+/// the dead DPU. Each layer sees the death exactly once, after the shim's
+/// reclaim, in the order the layers subscribed; declaring it again is a
+/// no-op.
+#[test]
+fn health_declared_death_remasters_state_and_retires_proxies() {
+    let (gw, health, layer) = stack();
+    let mut sim = Simulation::new();
+    let (g, hc, l) = (gw.clone(), health.clone(), layer.clone());
+    let out = sim.spawn("driver", move |ctx| {
+        let cluster = g.api().molecule().cluster().clone();
+        g.api().molecule().bootstrap(ctx).unwrap();
+        let pool = ProxyPool::deploy(ctx, &cluster, ProxyPoolConfig::default()).unwrap();
+        l.create_region(ctx, PuId(1), RegionSpec::new("weights", 4)).unwrap();
+        l.attach(ctx, PuId(2), "weights").unwrap();
+        assert_eq!(l.hosts("weights"), [PuId(1), PuId(2)]);
+        let proxies_before = pool.live_proxies();
+
+        cluster.machine().fault_plane().kill_pu(ctx.now(), PuId(1));
+        let recovered = hc.run(ctx, 2);
+        assert_eq!(recovered.len(), 1, "the kill is detected as PeerDead at once");
+        assert!(cluster.declare_pu_dead(ctx, PuId(1)).is_none(), "a PU dies once");
+
+        let out = (proxies_before, pool.live_proxies(), cluster.death_log());
+        pool.shutdown(ctx);
+        out
+    });
+    sim.run().unwrap();
+    let (proxies_before, proxies_after, log) = out.take_result().unwrap();
+
+    let region = layer.snapshot().regions.into_iter().find(|r| r.name == "weights").unwrap();
+    assert_eq!(region.master, PuId(2), "the region is re-mastered onto the survivor");
+    assert_eq!(layer.hosts("weights"), [PuId(2)]);
+    assert_eq!(gw.api().region_directory().hosts("weights"), [PuId(2)]);
+    assert_eq!(proxies_after, proxies_before - ProxyPoolConfig::default().proxies_per_dpu);
+    assert_eq!(
+        log,
+        [RECLAIM_STAGE, "runtime", "gateway", "sched", "state", "proxy"].map(|s| (PuId(1), s)),
+        "every layer sees the death once, after the reclaim, in subscription order"
+    );
+}
+
+/// The bus holds its subscribers weakly: once every handle of a deployed
+/// stack is dropped, the runtime, gateways, state layer and proxy pool are
+/// freed, so a later death reaches only the shim's own reclaim.
+#[test]
+fn dropping_the_stack_frees_every_subscriber() {
+    let (gw, health, layer) = stack();
+    let cluster = gw.api().molecule().cluster().clone();
+    let mut sim = Simulation::new();
+    let cl = cluster.clone();
+    let deployed = sim.spawn("deploy", move |ctx| {
+        let pool = ProxyPool::deploy(ctx, &cl, ProxyPoolConfig::default()).unwrap();
+        pool.shutdown(ctx);
+        pool
+    });
+    sim.run().unwrap();
+    let pool = deployed.take_result().unwrap();
+    drop((sim, gw, health, layer, pool));
+
+    let mut sim = Simulation::new();
+    let cl = cluster.clone();
+    sim.spawn("declare", move |ctx| cl.declare_pu_dead(ctx, PuId(1)).map(|_| ()));
+    sim.run().unwrap();
+    assert_eq!(cluster.death_log(), [(PuId(1), RECLAIM_STAGE)], "a subscriber outlived its stack");
 }
