@@ -17,6 +17,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q -p molecule-chaos
 cargo test -q --test chaos_recovery
 
+# Paper-band and remaining crate stage: molecule-bench's unit tests (each
+# paper figure's measured values checked against the paper's bands), the
+# vsandbox suite (sandbox verbs, the FuncId sharing pins) and the
+# telemetry suite.
+cargo test -q -p molecule-bench -p vsandbox -p molecule-telemetry
+
 # Bench JSON summaries land at the repo root so plotting scripts and the
 # gates below read the same committed artifacts.
 export MOLECULE_BENCH_DIR="$PWD"

@@ -152,13 +152,13 @@ pub fn plan_chain(
     funcs: &[FuncId],
     comm: CommMethod,
 ) -> Result<ChainSpec, MoleculeError> {
-    let defs: Vec<crate::function::FunctionDef> = funcs
+    let defs: Vec<std::sync::Arc<crate::function::FunctionDef>> = funcs
         .iter()
         .map(|f| {
             molecule.registry().get(f).ok_or_else(|| MoleculeError::UnknownFunction(f.clone()))
         })
         .collect::<Result<_, _>>()?;
-    let refs: Vec<&crate::function::FunctionDef> = defs.iter().collect();
+    let refs: Vec<&crate::function::FunctionDef> = defs.iter().map(|d| &**d).collect();
     let placement = scheduler.place_chain(molecule.machine(), &refs)?;
     let stages =
         funcs.iter().zip(placement).map(|(f, pu)| ChainStage { func: f.clone(), pu }).collect();

@@ -248,9 +248,10 @@ impl FunctionBuilder {
 }
 
 /// The platform's function registry (what the API gateway deploys from).
+/// Definitions are shared: a lookup hands out the registered `Arc`.
 #[derive(Clone, Default)]
 pub struct FunctionRegistry {
-    inner: Arc<Mutex<HashMap<FuncId, FunctionDef>>>,
+    inner: Arc<Mutex<HashMap<FuncId, Arc<FunctionDef>>>>,
 }
 
 impl fmt::Debug for FunctionRegistry {
@@ -267,11 +268,11 @@ impl FunctionRegistry {
 
     /// Registers (or replaces) a function.
     pub fn register(&self, def: FunctionDef) {
-        self.inner.lock().insert(def.id.clone(), def);
+        self.inner.lock().insert(def.id.clone(), Arc::new(def));
     }
 
     /// Looks up a function.
-    pub fn get(&self, id: &FuncId) -> Option<FunctionDef> {
+    pub fn get(&self, id: &FuncId) -> Option<Arc<FunctionDef>> {
         self.inner.lock().get(id).cloned()
     }
 
@@ -353,7 +354,7 @@ mod tests {
         reg.register(def.clone());
         reg.register(FunctionDef::builder("b", LangRuntime::NodeJs).build());
         assert_eq!(reg.len(), 2);
-        assert_eq!(reg.get(&"a".into()), Some(def));
+        assert_eq!(reg.get(&"a".into()).as_deref(), Some(&def));
         assert_eq!(reg.ids(), vec![FuncId::new("a"), FuncId::new("b")]);
         assert_eq!(reg.get(&"zzz".into()), None);
     }

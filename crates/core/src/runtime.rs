@@ -99,7 +99,7 @@ impl fmt::Display for InstanceId {
 
 #[derive(Debug, Clone)]
 struct Instance {
-    func: FunctionDef,
+    func: Arc<FunctionDef>,
     pu: PuId,
     kind: PuKind,
     sandbox: SandboxId,
@@ -343,7 +343,7 @@ impl Molecule {
         Ok(())
     }
 
-    fn lookup_function(&self, func: &FuncId) -> Result<FunctionDef, MoleculeError> {
+    fn lookup_function(&self, func: &FuncId) -> Result<Arc<FunctionDef>, MoleculeError> {
         self.inner.registry.get(func).ok_or_else(|| MoleculeError::UnknownFunction(func.clone()))
     }
 
@@ -501,7 +501,7 @@ impl Molecule {
     fn start_fpga_instance(
         &self,
         ctx: &mut ProcCtx,
-        def: &FunctionDef,
+        def: &Arc<FunctionDef>,
         pu: PuId,
     ) -> Result<StartupReport, MoleculeError> {
         let runf = self
@@ -526,7 +526,7 @@ impl Molecule {
         }
         let latency = ctx.now() - t0;
         let instance = self.register_instance(Instance {
-            func: def.clone(),
+            func: Arc::clone(def),
             pu,
             kind: PuKind::Fpga,
             sandbox,
@@ -539,7 +539,7 @@ impl Molecule {
     fn start_gpu_instance(
         &self,
         ctx: &mut ProcCtx,
-        def: &FunctionDef,
+        def: &Arc<FunctionDef>,
         pu: PuId,
     ) -> Result<StartupReport, MoleculeError> {
         let rung = self
@@ -562,7 +562,7 @@ impl Molecule {
         rung.start(ctx, &sandbox)?;
         let latency = ctx.now() - t0;
         let instance = self.register_instance(Instance {
-            func: def.clone(),
+            func: Arc::clone(def),
             pu,
             kind: PuKind::Gpu,
             sandbox,

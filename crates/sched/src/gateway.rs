@@ -261,9 +261,19 @@ struct Job {
     reply: SimSender<JobOutcome>,
 }
 
+/// One PU's worker processes: a wake channel per slot, and the slots
+/// parked on theirs.
+#[derive(Default)]
+struct Workers {
+    wakes: Vec<SimSender<()>>,
+    /// Parked slots, highest first, so the lowest pops off the end.
+    idle: Vec<usize>,
+}
+
 struct Shared {
     queues: BTreeMap<PuId, RunQueue<Job>>,
-    wakes: BTreeMap<PuId, Vec<SimSender<()>>>,
+    /// Dropping a PU's entry ends its workers (death, shutdown).
+    workers: BTreeMap<PuId, Workers>,
     autoscale_stop: Option<SimSender<()>>,
     estimators: BTreeMap<FuncId, RateEstimator>,
     service_ewma_ns: BTreeMap<FuncId, f64>,
@@ -336,7 +346,7 @@ impl SchedGateway {
                 caches,
                 shared: Mutex::new(Shared {
                     queues,
-                    wakes: BTreeMap::new(),
+                    workers: BTreeMap::new(),
                     autoscale_stop: None,
                     estimators: BTreeMap::new(),
                     service_ewma_ns: BTreeMap::new(),
@@ -390,10 +400,10 @@ impl SchedGateway {
         for (pu, tokens) in plan {
             for slot in 0..tokens {
                 let (tx, rx) = ctx.channel::<()>();
-                self.inner.shared.lock().wakes.entry(pu).or_default().push(tx);
+                self.inner.shared.lock().workers.entry(pu).or_default().wakes.push(tx);
                 let this = self.clone();
                 ctx.spawn(&format!("sched-worker-pu{}-{slot}", pu.0), move |wctx| {
-                    this.worker_loop(wctx, pu, rx)
+                    this.worker_loop(wctx, pu, slot, rx)
                 });
             }
         }
@@ -406,7 +416,7 @@ impl SchedGateway {
     /// all gateway processes exit once idle. Idempotent.
     pub fn shutdown(&self) {
         let mut sh = self.inner.shared.lock();
-        sh.wakes.clear();
+        sh.workers.clear();
         sh.autoscale_stop = None;
     }
 
@@ -677,40 +687,57 @@ impl SchedGateway {
 
     // ----- workers ---------------------------------------------------------
 
-    fn worker_loop(&self, ctx: &mut ProcCtx, pu: PuId, wake: SimReceiver<()>) {
-        while wake.recv(ctx).is_ok() {
-            loop {
-                let now = ctx.now();
-                let (expired, job) = {
-                    let mut sh = self.inner.shared.lock();
-                    if sh.dead.contains(&pu) {
-                        break;
-                    }
-                    let Some(queue) = sh.queues.get_mut(&pu) else { break };
-                    let expired = queue.shed_expired(now);
-                    let job = queue.begin(now);
-                    sh.stats.shed += expired.len() as u64;
-                    for entry in &expired {
-                        sh.ledger.entry(entry.tenant).or_default().shed += 1;
-                    }
-                    (expired, job)
-                };
-                for entry in expired {
-                    self.inner.api.note_shed(&entry.payload.func, now);
-                    telemetry::counter_add("sched.shed", 1);
-                    telemetry::counter_add_tenant("sched.shed", entry.tenant.raw(), 1);
-                    let _ = entry.payload.reply.send(JobOutcome::Shed {
-                        pu,
-                        waited: entry.waited,
-                        reason: ShedReason::Deadline,
-                    });
+    /// One worker: drain the queue, park, wait for a wake, repeat. It
+    /// drains before it first parks, so work queued before it ever ran
+    /// (a submit in the same instant as [`start`](Self::start)) is served.
+    /// It exits once its PU is dead or its wake sender is dropped.
+    fn worker_loop(&self, ctx: &mut ProcCtx, pu: PuId, slot: usize, wake: SimReceiver<()>) {
+        loop {
+            let now = ctx.now();
+            let (expired, job) = {
+                let mut sh = self.inner.shared.lock();
+                if sh.dead.contains(&pu) {
+                    return;
                 }
-                let Some(job) = job else { break };
-                self.publish_depth(pu);
-                if self.inner.caches.contains_key(&pu) {
-                    self.serve_fpga(ctx, pu, job);
-                } else {
-                    self.serve_general(ctx, pu, job);
+                let Some(queue) = sh.queues.get_mut(&pu) else { return };
+                let expired = queue.shed_expired(now);
+                let job = queue.begin(now);
+                sh.stats.shed += expired.len() as u64;
+                for entry in &expired {
+                    sh.ledger.entry(entry.tenant).or_default().shed += 1;
+                }
+                if job.is_none() {
+                    // Park before the wake channel is read: nothing runs in
+                    // between, so no wake can be missed.
+                    let Some(workers) = sh.workers.get_mut(&pu) else { return };
+                    let at = workers.idle.partition_point(|s| *s > slot);
+                    workers.idle.insert(at, slot);
+                }
+                (expired, job)
+            };
+            for entry in expired {
+                self.inner.api.note_shed(&entry.payload.func, now);
+                telemetry::counter_add("sched.shed", 1);
+                telemetry::counter_add_tenant("sched.shed", entry.tenant.raw(), 1);
+                let _ = entry.payload.reply.send(JobOutcome::Shed {
+                    pu,
+                    waited: entry.waited,
+                    reason: ShedReason::Deadline,
+                });
+            }
+            match job {
+                Some(job) => {
+                    self.publish_depth(pu);
+                    if self.inner.caches.contains_key(&pu) {
+                        self.serve_fpga(ctx, pu, job);
+                    } else {
+                        self.serve_general(ctx, pu, job);
+                    }
+                }
+                None => {
+                    if wake.recv(ctx).is_err() {
+                        return;
+                    }
                 }
             }
         }
@@ -858,8 +885,9 @@ impl SchedGateway {
         {
             let mut sh = self.inner.shared.lock();
             sh.dead.insert(bad);
-            // Wake the dead PU's workers so they observe `dead` and park.
-            sh.wakes.remove(&bad);
+            // Dropping the dead PU's wake senders ends its parked workers;
+            // busy ones see `dead` when they next look at the queue.
+            sh.workers.remove(&bad);
             if let Some(queue) = sh.queues.get_mut(&bad) {
                 jobs.extend(queue.drain(now));
             }
@@ -996,13 +1024,19 @@ impl SchedGateway {
 
     // ----- plumbing --------------------------------------------------------
 
+    /// Wakes the lowest-slot parked workers of `pu`, one per queued job.
+    ///
+    /// Waking every parked worker would fire the same schedule: they all
+    /// resume at this instant in slot order, the first `queued` take the
+    /// jobs and the rest find an empty queue, shed nothing new and park
+    /// again. Only host time is saved.
     fn wake_pu(&self, pu: PuId) {
-        let senders = {
-            let sh = self.inner.shared.lock();
-            sh.wakes.get(&pu).cloned().unwrap_or_default()
-        };
-        for tx in senders {
-            let _ = tx.send(());
+        let mut sh = self.inner.shared.lock();
+        let queued = sh.queues.get(&pu).map_or(0, RunQueue::queued);
+        let Some(workers) = sh.workers.get_mut(&pu) else { return };
+        for _ in 0..queued {
+            let Some(slot) = workers.idle.pop() else { break };
+            let _ = workers.wakes[slot].send(());
         }
     }
 
@@ -1280,6 +1314,114 @@ mod tests {
         let st = gw.stats();
         assert!(st.requeued > 0, "the dead DPU's queue should have drained: {st:?}");
         assert_eq!(st.completed, 9);
+    }
+
+    #[test]
+    fn an_isolated_request_resumes_one_worker() {
+        // Four parked CPU workers, one request: only the lowest slot wakes.
+        let gw =
+            SchedGateway::new(api_over(Machine::paper_cpu_dpu_server()), SchedConfig::default());
+        let cpu = gw.api().molecule().machine().host_cpu();
+        let mut sim = Simulation::new();
+        sim.enable_trace();
+        let g = gw.clone();
+        let out = sim.spawn("driver", move |ctx| {
+            g.api().molecule().bootstrap(ctx).unwrap();
+            g.api().prepare_all_templates(ctx).unwrap();
+            g.start(ctx);
+            ctx.sleep(SimDuration::from_millis(1));
+            let at = ctx.now();
+            let outcome = g.invoke(ctx, &"img".into(), 1024, SubmitOpts::default()).unwrap();
+            g.shutdown();
+            (at, outcome)
+        });
+        let trace = sim.run().unwrap().trace;
+        let (at, outcome) = out.take_result().unwrap();
+        assert!(matches!(outcome, JobOutcome::Completed { pu, .. } if pu == cpu), "{outcome:?}");
+        let at = at.to_string();
+        let resumed: BTreeSet<&str> = trace
+            .iter()
+            .filter_map(|entry| entry.split_once(' '))
+            .filter(|(t, name)| *t == at && name.starts_with("sched-worker-"))
+            .map(|(_, name)| name)
+            .collect();
+        let lowest = format!("sched-worker-pu{}-0", cpu.0);
+        assert_eq!(resumed, BTreeSet::from([lowest.as_str()]), "resumed at the submit instant");
+    }
+
+    #[test]
+    fn failover_wakes_one_survivor_worker_per_requeued_job() {
+        // First-fit stacks three jobs on the first DPU; it dies before
+        // serving them, and one failover moves all three to the idle second
+        // DPU with a single wake call. Its three workers must serve them
+        // side by side, not in turn.
+        let molecule = Molecule::launch(Machine::paper_cpu_dpu_server(), MoleculeConfig::default());
+        molecule.register_function(
+            FunctionDef::builder("edge", LangRuntime::Python)
+                .profiles(&[PuKind::Dpu])
+                .exec_ms(10.0)
+                .init_ms(6.0)
+                .cfork_first_run_ms(1.0)
+                .build(),
+        );
+        let api = ApiGateway::new(
+            molecule,
+            Scheduler::default(),
+            GatewayConfig::default(),
+            Box::new(Lru::new()),
+        );
+        let config = SchedConfig { dpu_tokens: 3, ..SchedConfig::baseline_first_fit() };
+        let gw = SchedGateway::new(api, config);
+        let dpus = gw.api().molecule().machine().pus_of_kind(PuKind::Dpu);
+        let (dying, survivor) = (dpus[0], dpus[1]);
+        let outcomes = run_with(&gw, move |ctx, g| {
+            ctx.sleep(SimDuration::from_millis(1)); // every worker parks
+            let rxs: Vec<_> = (0..3)
+                .map(|_| g.submit(ctx, &"edge".into(), 1024, SubmitOpts::default()).unwrap())
+                .collect();
+            // Fail over before the dying DPU's woken workers get a turn
+            // (the bus would yield to them first, and each would carry its
+            // own job over in a failover of its own).
+            g.api().molecule().machine().fault_plane().kill_pu(ctx.now(), dying);
+            g.fail_over(ctx, dying, Vec::new());
+            rxs.into_iter().map(|rx| rx.recv(ctx).unwrap()).collect::<Vec<_>>()
+        });
+        let latencies: Vec<SimDuration> = outcomes
+            .iter()
+            .map(|o| match o {
+                JobOutcome::Completed { latency, pu, .. } if *pu == survivor => *latency,
+                other => panic!("expected completion on the survivor, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(gw.stats().requeued, 3);
+        let machine = gw.api().molecule().machine();
+        let def = gw.api().molecule().registry().get(&"edge".into()).unwrap();
+        let exec = def.exec.time_on(machine.pu(survivor).unwrap(), 1024);
+        let (first, last) = (latencies.iter().min().unwrap(), latencies.iter().max().unwrap());
+        // Served in turn, the last would finish two execs after the first.
+        assert!(*last - *first < exec, "requeued jobs were serialized: {latencies:?} ({exec})");
+    }
+
+    #[test]
+    fn a_submit_in_the_instant_of_start_is_served() {
+        // No yield between start and submit: no worker has parked yet, so
+        // the submit wakes nobody and the workers' first drain must find it.
+        let gw =
+            SchedGateway::new(api_over(Machine::paper_cpu_dpu_server()), SchedConfig::default());
+        let mut sim = Simulation::new();
+        let g = gw.clone();
+        let out = sim.spawn("driver", move |ctx| {
+            g.api().molecule().bootstrap(ctx).unwrap();
+            g.api().prepare_all_templates(ctx).unwrap();
+            g.start(ctx);
+            let rx = g.submit(ctx, &"img".into(), 1024, SubmitOpts::default()).unwrap();
+            let outcome = rx.recv(ctx).unwrap();
+            g.shutdown();
+            outcome
+        });
+        sim.run().unwrap();
+        let outcome = out.take_result().unwrap();
+        assert!(matches!(outcome, JobOutcome::Completed { .. }), "{outcome:?}");
     }
 
     #[test]

@@ -381,10 +381,8 @@ impl<T> RunQueue<T> {
     /// whole token pool, so gating only bites under contention.
     fn service_caps(&self) -> BTreeMap<TenantId, usize> {
         let mut active: BTreeMap<TenantId, u64> = BTreeMap::new();
-        for lane in self.lanes.values() {
-            for (tenant, _) in lane.queued_by_tenant() {
-                active.entry(tenant).or_insert_with(|| u64::from(self.weight_of(tenant)));
-            }
+        for tenant in self.lanes.values().flat_map(SfqQueue::queued_tenants) {
+            active.entry(tenant).or_insert_with(|| u64::from(self.weight_of(tenant)));
         }
         for (tenant, n) in &self.in_service_by {
             if *n > 0 {
@@ -402,6 +400,18 @@ impl<T> RunQueue<T> {
             .collect()
     }
 
+    /// True when at most one tenant is queued or in service.
+    fn one_active_tenant(&self) -> bool {
+        let mut active = self
+            .in_service_by
+            .iter()
+            .filter(|(_, n)| **n > 0)
+            .map(|(t, _)| *t)
+            .chain(self.lanes.values().flat_map(SfqQueue::queued_tenants));
+        let Some(first) = active.next() else { return true };
+        active.all(|t| t == first)
+    }
+
     fn weight_of(&self, tenant: TenantId) -> u32 {
         self.weights.get(&tenant).copied().unwrap_or(1)
     }
@@ -415,15 +425,20 @@ impl<T> RunQueue<T> {
     /// tenant has queued work, falling back to an unfiltered pop so idle
     /// share is never wasted.
     pub fn begin(&mut self, now: SimTime) -> Option<Queued<T>> {
-        let caps = self.service_caps();
-        let held = self.in_service_by.clone();
+        // A sole active tenant's cap is the whole token pool, and when it
+        // binds the fallback is the same unfiltered pop: skip the cap maps.
+        let caps = (!self.one_active_tenant()).then(|| self.service_caps());
+        let held = &self.in_service_by;
         let (&priority, lane) = self.lanes.iter_mut().find(|(_, l)| !l.is_empty())?;
-        let (tenant, entry) = lane
-            .pop_where(|t| {
-                held.get(&t).copied().unwrap_or(0) < caps.get(&t).copied().unwrap_or(usize::MAX)
-            })
-            .or_else(|| lane.pop())
-            .expect("lane checked non-empty");
+        let (tenant, entry) = match &caps {
+            None => lane.pop(),
+            Some(caps) => lane
+                .pop_where(|t| {
+                    held.get(&t).copied().unwrap_or(0) < caps.get(&t).copied().unwrap_or(usize::MAX)
+                })
+                .or_else(|| lane.pop()),
+        }
+        .expect("lane checked non-empty");
         self.in_service += 1;
         *self.in_service_by.entry(tenant).or_default() += 1;
         Some(Queued {
@@ -615,6 +630,19 @@ mod tests {
         let third = q.begin(t(12)).unwrap();
         assert_eq!(third.tenant, TenantId(1));
         assert_eq!(q.in_service_by_tenant(), vec![(TenantId(1), 2)]);
+    }
+
+    #[test]
+    fn a_sole_tenant_dispatches_past_its_tokens_in_fifo_order() {
+        // The FPGA batch path begins several entries on one token. A sole
+        // active tenant is never capped, even past the token count.
+        let mut q = RunQueue::new(PuId(0), QueuePolicy { depth: 8, tokens: 1 });
+        for i in 0..3u32 {
+            q.offer_for(t(0), TenantId(7), 2, false, 0, None, i).unwrap();
+        }
+        let order: Vec<u32> = std::iter::from_fn(|| q.begin(t(1)).map(|e| e.payload)).collect();
+        assert_eq!(order, [0, 1, 2]);
+        assert_eq!(q.in_service_by_tenant(), vec![(TenantId(7), 3)]);
     }
 
     #[test]

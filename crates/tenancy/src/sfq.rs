@@ -85,6 +85,12 @@ impl<T> SfqQueue<T> {
             .collect()
     }
 
+    /// Tenants with queued items, in id order. Allocation-free, unlike
+    /// [`queued_by_tenant`](Self::queued_by_tenant).
+    pub fn queued_tenants(&self) -> impl Iterator<Item = TenantId> + '_ {
+        self.lanes.iter().filter(|(_, l)| !l.items.is_empty()).map(|(t, _)| *t)
+    }
+
     /// Enqueues `value` for `tenant` with `weight` (clamped to at least 1).
     pub fn push(&mut self, tenant: TenantId, weight: u32, value: T) {
         let lane = self.lanes.entry(tenant).or_default();
@@ -126,21 +132,26 @@ impl<T> SfqQueue<T> {
 
     /// Removes and returns every queued item matching `pred`, in per-lane
     /// FIFO order (tenants in id order). Remaining items keep their tags.
+    /// `pred` sees each item once; only a lane holding a match is rebuilt,
+    /// and only from its first match on.
     pub fn remove_where(
         &mut self,
         mut pred: impl FnMut(TenantId, &T) -> bool,
     ) -> Vec<(TenantId, T)> {
         let mut out = Vec::new();
         for (&tenant, lane) in self.lanes.iter_mut() {
-            let mut keep = VecDeque::with_capacity(lane.items.len());
-            for item in lane.items.drain(..) {
+            let Some(first) = lane.items.iter().position(|i| pred(tenant, &i.value)) else {
+                continue;
+            };
+            let mut tail = lane.items.split_off(first).into_iter();
+            out.push((tenant, tail.next().expect("the first match").value));
+            for item in tail {
                 if pred(tenant, &item.value) {
                     out.push((tenant, item.value));
                 } else {
-                    keep.push_back(item);
+                    lane.items.push_back(item);
                 }
             }
-            lane.items = keep;
         }
         self.len -= out.len();
         let vtime = self.vtime;
@@ -231,5 +242,27 @@ mod tests {
         assert_eq!(q.queued_by_tenant(), vec![(TenantId(1), 1)]);
         assert_eq!(q.pop(), Some((TenantId(1), 10)));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn remove_where_keeps_the_survivors_tags() {
+        let mut q = SfqQueue::new();
+        for i in 0..4 {
+            q.push(TenantId(1), 1, i);
+            q.push(TenantId(2), 1, 10 + i);
+        }
+        assert!(q.remove_where(|_, _| false).is_empty());
+        assert_eq!(q.len(), 8);
+        let mut seen = Vec::new();
+        let removed = q.remove_where(|t, v| {
+            seen.push((t, *v));
+            *v == 1 || *v == 12
+        });
+        assert_eq!(removed, vec![(TenantId(1), 1), (TenantId(2), 12)]);
+        assert_eq!(seen.len(), 8, "the predicate sees each item once");
+        // Start tags survive: tenant 1 keeps 0, 2Q, 3Q and tenant 2 keeps
+        // 0, Q, 3Q, so tenant 2's second item overtakes tenant 1's.
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        assert_eq!(order, [0, 10, 11, 2, 3, 13]);
     }
 }

@@ -1,6 +1,7 @@
 //! Sandbox identity, configuration and state machine.
 
 use core::fmt;
+use std::sync::Arc;
 
 use hetsim::fpga::KernelSpec;
 use serde::{Deserialize, Serialize};
@@ -34,13 +35,17 @@ impl From<&str> for SandboxId {
 }
 
 /// Identifier of a deployed function (the `<func-id>` in `create`).
+///
+/// Shared, not copied: a clone bumps a reference count. Equality, ordering
+/// and hashing are the string's, so maps keyed by ids iterate in the same
+/// order as maps keyed by the names.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct FuncId(pub String);
+pub struct FuncId(Arc<str>);
 
 impl FuncId {
     /// Creates an id from any string-ish value.
     pub fn new(id: impl Into<String>) -> FuncId {
-        FuncId(id.into())
+        FuncId(Arc::from(id.into()))
     }
 
     /// The id as a string slice.
@@ -57,13 +62,13 @@ impl fmt::Display for FuncId {
 
 impl From<&str> for FuncId {
     fn from(s: &str) -> FuncId {
-        FuncId(s.to_owned())
+        FuncId(Arc::from(s))
     }
 }
 
 impl From<String> for FuncId {
     fn from(s: String) -> FuncId {
-        FuncId(s)
+        FuncId(Arc::from(s))
     }
 }
 
